@@ -48,22 +48,14 @@ def _machine_metadata() -> dict:
         metadata["numba_version"] = numba.__version__
     except ImportError:
         pass
-    try:
-        import cupy
-
-        metadata["cupy_version"] = cupy.__version__
-    except ImportError:
-        pass
     return metadata
 
 
 def _load_bench_rows() -> list[dict]:
-    """Current BENCH.json rows (tolerating the pre-schema flat list)."""
+    """Current BENCH.json rows (schema version 2)."""
     if not BENCH_RESULTS_PATH.exists():
         return []
     document = json.loads(BENCH_RESULTS_PATH.read_text(encoding="utf-8"))
-    if isinstance(document, list):  # pre-versioned flat layout
-        return document
     return list(document.get("rows", []))
 
 
@@ -83,23 +75,18 @@ def record_bench(
     :mod:`repro.backends` implementation ran the kernels. Extra keyword
     scalars ride along. Recorded rows carry the recording PR
     (``BENCH_CURRENT_PR``) and machine metadata (cpu count, numpy /
-    numba / cupy versions), so the committed file is a cumulative
+    numba versions), so the committed file is a cumulative
     per-PR perf trajectory — rows from earlier PRs stay until a later
     PR's benchmark re-records them.
 
     Writes happen only when ``BENCH_RECORD=1`` is exported
-    (``BENCH_RECORD=1 pytest -q -m slow benchmarks/`` to refresh; the
-    legacy ``BENCH_PR5_RECORD=1`` spelling still works), so routine
+    (``BENCH_RECORD=1 pytest -q -m slow benchmarks/`` to refresh), so routine
     tier-1 runs — which include the slow acceptance benchmarks — never
     dirty the working tree with machine-local timings.
     """
     import os
 
-    enabled = ("1", "true", "yes")
-    if (
-        os.environ.get("BENCH_RECORD", "") not in enabled
-        and os.environ.get("BENCH_PR5_RECORD", "") not in enabled
-    ):
+    if os.environ.get("BENCH_RECORD", "") not in ("1", "true", "yes"):
         return
     rows = _load_bench_rows()
     rows = [
@@ -148,16 +135,12 @@ def pytest_collection_modifyitems(
     """Backend-marker skips for the benchmark tier (mirrors tests/)."""
     import importlib.util
 
-    for marker_name, module in (("requires_numba", "numba"), ("requires_cupy", "cupy")):
-        if importlib.util.find_spec(module) is not None:
-            continue
-        skip = pytest.mark.skip(
-            reason=f"{module} is not installed (install the "
-            f"{'jit' if module == 'numba' else 'gpu'} extra)"
-        )
-        for item in items:
-            if marker_name in item.keywords:
-                item.add_marker(skip)
+    if importlib.util.find_spec("numba") is not None:
+        return
+    skip = pytest.mark.skip(reason="numba is not installed (install the jit extra)")
+    for item in items:
+        if "requires_numba" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

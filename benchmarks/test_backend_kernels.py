@@ -126,14 +126,16 @@ def test_numba_measurement_matches_law_at_speed():
     report the same convergence verdict set as numpy (law-level; the
     KS contract lives in ``tests/test_backends.py``).
     """
+    from repro.experiments import RunConfig
     from repro.experiments._common import measure_weighted_threshold_time
 
     reference = measure_weighted_threshold_time(
-        "ring", 8, 8.0, repetitions=4, seed=31, rng_policy="counter"
+        "ring", 8, 8.0, repetitions=4, seed=31,
+        config=RunConfig(rng_policy="counter"),
     )
     accelerated = measure_weighted_threshold_time(
-        "ring", 8, 8.0, repetitions=4, seed=31, rng_policy="counter",
-        backend="numba",
+        "ring", 8, 8.0, repetitions=4, seed=31,
+        config=RunConfig(rng_policy="counter", backend="numba"),
     )
     assert accelerated.num_converged == reference.num_converged
     assert np.isfinite(accelerated.repetition_rounds).all()

@@ -33,6 +33,7 @@ import time
 import pytest
 
 from benchmarks.conftest import record_bench
+from repro.experiments import RunConfig
 from repro.experiments.executor import (
     CellSpec,
     execute_cells,
@@ -71,7 +72,8 @@ def test_sharded_cell_byte_identical(rng_policy):
     """Sharded pooled run == monolithic run, to the byte, both policies."""
     monolithic = run_cell(
         CellSpec(
-            "weighted", "ring", 16, 8.0, 10, 20120716, rng_policy=rng_policy
+            "weighted", "ring", 16, 8.0, 10, 20120716,
+            config=RunConfig(rng_policy=rng_policy),
         )
     )
     sharded = execute_cells(
@@ -83,8 +85,7 @@ def test_sharded_cell_byte_identical(rng_policy):
                 8.0,
                 10,
                 20120716,
-                rng_policy=rng_policy,
-                shard_size=3,
+                config=RunConfig(rng_policy=rng_policy, shard_size=3),
             )
         ],
         workers=2,
@@ -112,7 +113,7 @@ def test_sharded_single_cell_speedup():
         )
 
     def timed(shard_size):
-        spec = CellSpec(**FAT_CELL, shard_size=shard_size)
+        spec = CellSpec(**FAT_CELL, config=RunConfig(shard_size=shard_size))
         best_seconds, cells = float("inf"), None
         for _ in range(2):
             start = time.perf_counter()
@@ -154,7 +155,10 @@ def test_adaptive_sizing_saves_replicas():
     while reporting a half-width at or under the target.
     """
     spec = CellSpec(
-        **ADAPTIVE_CELL, shard_size=ADAPTIVE_WAVE, target_ci=ADAPTIVE_TARGET_CI
+        **ADAPTIVE_CELL,
+        config=RunConfig(
+            shard_size=ADAPTIVE_WAVE, target_ci=ADAPTIVE_TARGET_CI
+        ),
     )
     start = time.perf_counter()
     report = execute_cells_report([spec], workers=None)

@@ -36,7 +36,7 @@ class ArrayBackend:
     compilation caches are shared across call sites.
     """
 
-    #: Registry name (``"numpy"`` / ``"numba"`` / ``"cupy"``).
+    #: Registry name (``"numpy"`` / ``"numba"``).
     name: str = "abstract"
 
     @classmethod

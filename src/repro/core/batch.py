@@ -142,8 +142,8 @@ class BatchSimulator:
         to :meth:`run`.
     backend:
         Array backend for the batched kernels: a name from
-        :data:`repro.backends.BACKEND_NAMES` (``"numpy"`` default,
-        ``"numba"``, ``"cupy"``) or an
+        :data:`repro.backends.BACKEND_NAMES` (``"numpy"`` default or
+        ``"numba"``) or an
         :class:`~repro.backends.ArrayBackend` instance. Resolved with
         warn-and-fallback to numpy when the named backend's optional
         dependency is missing. The numpy backend is bit-identical to

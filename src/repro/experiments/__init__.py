@@ -22,14 +22,17 @@ Experiment ids
 ``scenarios-churn-shock``  Dynamic workloads: churn + flash-crowd recovery
                        on uniform and weighted task systems.
 
-Sweep experiments accept ``workers`` (CLI ``--workers N``) to fan their
-independent (family, size) cells over a process pool via
-:mod:`repro.experiments.executor`; results are identical at any worker
-count because every cell derives its own seed. Requesting ``--workers``
-for an experiment without cell-level parallelism emits a
-:class:`RuntimeWarning` on stderr and runs serially.
+How a run executes (workers, rng policy, sharding, adaptive sizing,
+backend, trace, workload) is one validated :class:`RunConfig`, passed as
+``run_experiment(id, config=...)`` or as its fields in keyword form.
+Sweep experiments fan their independent (family, size) cells over a
+process pool via :mod:`repro.experiments.executor`; results are
+identical at any worker count because every cell derives its own seed.
+Requesting a field an experiment does not honour emits a
+:class:`RuntimeWarning` on stderr and falls back to the default.
 """
 
+from repro.experiments.config import RunConfig
 from repro.experiments.registry import (
     ExperimentResult,
     available_experiments,
@@ -40,6 +43,7 @@ from repro.experiments.reporting import render_result, result_to_markdown
 
 __all__ = [
     "ExperimentResult",
+    "RunConfig",
     "available_experiments",
     "get_experiment",
     "run_experiment",

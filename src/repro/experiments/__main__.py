@@ -8,45 +8,34 @@ Usage::
     python -m repro.experiments run table1-weighted --target-ci 2.5
     python -m repro.experiments all [--full] [--markdown experiments.md]
 
-``--workers N`` fans each sweep experiment's (family, size) cells over
-``N`` processes (sweep ids: ``table1-approx``, ``table1-exact``,
-``table1-weighted``, ``weighted-variants``, ``robustness``,
-``scenarios-churn-shock``); every cell derives its own seed, so
-measurement outputs are byte-identical at any worker count (the
-``run_meta`` record each experiment's JSON carries — effective workers,
-rng policy, sharding knobs, per-cell wall-clock — is the only artifact
-field that reflects the invocation). ``--shard-size R`` additionally
-splits each cell's replica ensemble into windows of ``R`` replicas that
-the pool schedules as independent sub-tasks, so a single huge cell no
-longer serializes the sweep; shard merging preserves byte-identity at
-any ``(workers, shard-size)``. ``--target-ci H`` switches the
-family-sweep experiments to adaptive ensemble sizing: each cell runs
-replicas in shard-sized waves until the bootstrap CI half-width on its
-mean convergence round drops to ``H`` (the configured repetition count
-becomes a cap; ``run_meta.cell_timings`` records requested vs effective
-repetitions). ``--rng counter`` switches the sweep experiments onto the
-vectorized Philox counter stream layout (statistically equivalent,
-same-seed deterministic, different sample paths from the default
-``spawned`` layout); under it only the weighted kinds may shard — see
-:mod:`repro.experiments.executor`. ``--backend numba`` (or ``cupy``)
-dispatches the batched kernels through :mod:`repro.backends` — the
-default ``numpy`` backend stays bit-identical to every earlier release,
-and a requested backend whose optional dependency is missing warns and
-falls back to numpy (``run_meta`` records requested vs effective).
-Requesting ``--workers`` (or
-``--rng``/``--shard-size``/``--target-ci``) for an experiment that has
-no such parameter prints a RuntimeWarning to stderr and falls back
-instead of silently dropping the flag. Unknown experiment ids exit with
-status 2; a failed reproduction exits with 1.
+The execution flags ``--workers``, ``--rng``, ``--shard-size``,
+``--target-ci``, ``--backend``, ``--trace`` and ``--workload`` build one
+:class:`~repro.experiments.config.RunConfig`; its field docs say what
+each one does. The config validates itself, and an invalid value exits
+with status 2 like any other usage error. Each experiment honours the
+fields it declared when it was registered; a requested field that an
+experiment does not honour prints a RuntimeWarning to stderr and falls
+back to its default instead of being dropped silently.
+
+Apart from ``--rng``, ``--target-ci``, ``--trace``, ``--workload`` and a
+non-numpy ``--backend``, no flag changes a measurement: results are
+byte-identical at any ``(workers, shard-size)``. The ``run_meta``
+record in each experiment's JSON describes the invocation (requested
+and effective values, per-cell wall-clock), so compare artifacts with it
+removed. Unknown experiment ids exit with status 2; a failed
+reproduction exits with 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.backends import BACKEND_NAMES
+from repro.errors import ReproError, ValidationError
+from repro.experiments.config import RunConfig
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.experiments.reporting import render_result, result_to_markdown
 from repro.utils.serialization import write_csv, write_json
@@ -103,6 +92,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--rng",
+        dest="rng_policy",
         choices=("spawned", "counter"),
         default="spawned",
         help="per-replica RNG stream layout: 'spawned' (default; "
@@ -133,7 +123,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace",
-        type=Path,
         default=None,
         metavar="FILE",
         help="replay this saved workload trace file as the single cell "
@@ -150,12 +139,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "numba", "cupy"),
+        choices=BACKEND_NAMES,
         default="numpy",
         help="array backend for the batched kernels: 'numpy' (default; "
-        "bit-identical to earlier releases), 'numba' (JIT-fused kernels, "
-        "requires the 'jit' extra), or 'cupy' (GPU arrays, requires the "
-        "'gpu' extra). A missing optional dependency prints a "
+        "bit-identical to earlier releases) or 'numba' (JIT-fused kernels, "
+        "requires the 'jit' extra). A missing optional dependency prints a "
         "RuntimeWarning and falls back to numpy; run_meta records the "
         "requested and effective backend",
     )
@@ -165,22 +153,27 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "shard_size", None) is not None and args.shard_size < 1:
-        parser.error(f"--shard-size must be >= 1, got {args.shard_size}")
-    if getattr(args, "target_ci", None) is not None and not args.target_ci > 0:
-        parser.error(f"--target-ci must be positive, got {args.target_ci}")
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        parser.error(
-            f"--seed must be a non-negative integer, got {args.seed}"
-        )
-    if getattr(args, "trace", None) is not None and not args.trace.is_file():
-        parser.error(f"--trace file not found: {args.trace}")
     if args.command == "list":
         for experiment_id in available_experiments():
             print(experiment_id)
         return 0
+    if args.seed < 0:
+        parser.error(
+            f"--seed must be a non-negative integer, got {args.seed}"
+        )
+    if args.trace is not None and not Path(args.trace).is_file():
+        parser.error(f"--trace file not found: {args.trace}")
+    # Every RunConfig field has a flag whose argparse dest is the field
+    # name; a rejected value is reported under its flag.
+    knobs = fields(RunConfig)
+    try:
+        config = RunConfig(
+            **{knob.name: getattr(args, knob.name) for knob in knobs}
+        )
+    except ValidationError as error:
+        name, _, detail = str(error).partition(" ")
+        flags = {knob.name: knob.metadata["flag"] for knob in knobs}
+        parser.error(f"{flags.get(name, name)} {detail}")
 
     known = available_experiments()
     ids = known if args.command == "all" else args.ids
@@ -200,16 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     for experiment_id in ids:
         try:
             result = run_experiment(
-                experiment_id,
-                quick=quick,
-                seed=args.seed,
-                workers=args.workers,
-                rng_policy=args.rng,
-                shard_size=args.shard_size,
-                target_ci=args.target_ci,
-                trace=None if args.trace is None else str(args.trace),
-                workload=args.workload,
-                backend=args.backend,
+                experiment_id, quick=quick, seed=args.seed, config=config
             )
         except ReproError as error:
             # Any deliberate library error (unknown id, bad parameters,

@@ -17,8 +17,9 @@ from repro.core.protocols import (
     SelfishWeightedProtocol,
 )
 from repro.core.simulator import Simulator
-from repro.core.stopping import NashStop, PotentialThresholdStop, StoppingRule
+from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.graphs.families import get_family
 from repro.graphs.graph import Graph
 from repro.model.placement import (
@@ -29,9 +30,9 @@ from repro.model.placement import (
 from repro.model.speeds import two_class_speeds
 from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
-from repro.spectral.eigen import algebraic_connectivity
 from repro.theory.bounds import (
     GraphQuantities,
+    graph_quantities,
     theorem11_round_bound,
     theorem12_round_bound,
     theorem13_round_bound,
@@ -171,6 +172,46 @@ def _weighted_state_factory(
     return factory
 
 
+def _measure_family(
+    family_name: str,
+    graph: Graph,
+    quantities: GraphQuantities,
+    m: int,
+    bound: float,
+    seed: int,
+    tag: str,
+    config: RunConfig,
+    **run: object,
+) -> FamilyMeasurement:
+    """Run one family cell's ensemble and summarize it.
+
+    The ensemble seed derives from ``(seed, family, n, tag)``; ``run``
+    is the rest of :func:`measure_convergence_rounds`' keywords.
+    """
+    measurement = measure_convergence_rounds(
+        graph=graph,
+        seed=derive_seed(seed, family_name, quantities.n, tag),
+        rng_policy=config.rng_policy,
+        backend=config.backend,
+        **run,
+    )
+    return FamilyMeasurement(
+        family=family_name,
+        n=quantities.n,
+        m=m,
+        lambda2=quantities.lambda2,
+        max_degree=quantities.max_degree,
+        median_rounds=measurement.median_rounds,
+        mean_rounds=measurement.mean_rounds,
+        bound_rounds=bound,
+        num_converged=measurement.num_converged,
+        num_repetitions=measurement.num_repetitions,
+        repetition_rounds=tuple(
+            float(value) for value in measurement.repetition_rounds
+        ),
+    )
+
+
 def measure_weighted_threshold_time(
     family_name: str,
     target_n: int,
@@ -179,10 +220,9 @@ def measure_weighted_threshold_time(
     seed: int,
     max_budget: int = 200_000,
     engine: str = "auto",
-    rng_policy: str = "spawned",
+    config: RunConfig = DEFAULT_CONFIG,
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure Algorithm 2's rounds to the threshold state on one cell.
 
@@ -199,42 +239,27 @@ def measure_weighted_threshold_time(
     ``engine="scalar"`` to force the sequential reference path — both
     engines are pathwise identical for the weighted kernels.
     """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
-    m = int(math.ceil(m_factor * n))
-    lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
+    graph = get_family(family_name).make(target_n)
+    quantities = graph_quantities(graph)
+    m = int(math.ceil(m_factor * quantities.n))
     bound = theorem13_round_bound(quantities, m, 1.0, 1.0)
-    budget = int(min(math.ceil(bound) * 50, max_budget))
-    measurement = measure_convergence_rounds(
-        graph=graph,
+    return _measure_family(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        seed,
+        "weighted",
+        config=config,
         protocol=SelfishWeightedProtocol(),
         state_factory=_weighted_state_factory(graph, m),
         stopping=NashStop(),
         repetitions=repetitions,
-        max_rounds=budget,
-        seed=derive_seed(seed, family_name, n, "weighted"),
+        max_rounds=int(min(math.ceil(bound) * 50, max_budget)),
         engine=engine,
-        rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
-    )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
     )
 
 
@@ -246,10 +271,9 @@ def measure_psi_threshold_time(
     seed: int,
     budget_factor: float = 2.0,
     engine: str = "auto",
-    rng_policy: str = "spawned",
+    config: RunConfig = DEFAULT_CONFIG,
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure rounds until ``Psi_0 <= 4 psi_c`` on one family cell.
 
@@ -260,43 +284,29 @@ def measure_psi_threshold_time(
     batched ensemble engine by default (``engine="auto"``); pass
     ``engine="scalar"`` to force the sequential reference path.
     """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
+    graph = get_family(family_name).make(target_n)
+    quantities = graph_quantities(graph)
+    n = quantities.n
     m = int(math.ceil(m_factor * n * n))
-    lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
-    psi_c = psi_critical(n, graph.max_degree, lambda2, 1.0)
+    psi_c = psi_critical(n, quantities.max_degree, quantities.lambda2, 1.0)
     bound = theorem11_round_bound(quantities, m, 1.0)
-    stopping: StoppingRule = PotentialThresholdStop(4.0 * psi_c, "psi0")
-    measurement = measure_convergence_rounds(
-        graph=graph,
+    return _measure_family(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        seed,
+        "approx",
+        config=config,
         protocol=SelfishUniformProtocol(),
         state_factory=_uniform_state_factory(graph, m, adversarial=True),
-        stopping=stopping,
+        stopping=PotentialThresholdStop(4.0 * psi_c, "psi0"),
         repetitions=repetitions,
         max_rounds=int(math.ceil(budget_factor * bound)) + 10,
-        seed=derive_seed(seed, family_name, n, "approx"),
         engine=engine,
-        rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
-    )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
     )
 
 
@@ -425,13 +435,12 @@ def measure_variant_threshold_time(
     seed: int,
     max_rounds: int = 30_000,
     engine: str = "auto",
-    rng_policy: str = "spawned",
+    config: RunConfig = DEFAULT_CONFIG,
     variant: str = "flow",
     m: int | None = None,
     churn_window: int = 200,
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> VariantMeasurement:
     """Measure one ablation variant's rounds-to-threshold and churn.
 
@@ -471,10 +480,10 @@ def measure_variant_threshold_time(
         max_rounds=max_rounds,
         seed=measure_seed,
         engine=engine,
-        rng_policy=rng_policy,
+        rng_policy=config.rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
+        backend=config.backend,
     )
 
     # The churn probe is always a spawned scalar replay of repetition
@@ -528,10 +537,9 @@ def measure_exact_nash_time(
     seed: int,
     max_budget: int = 2_000_000,
     engine: str = "auto",
-    rng_policy: str = "spawned",
+    config: RunConfig = DEFAULT_CONFIG,
     replica_offset: int = 0,
     replica_count: int | None = None,
-    backend: str = "numpy",
 ) -> FamilyMeasurement:
     """Measure rounds until the exact NE on one family cell.
 
@@ -542,40 +550,25 @@ def measure_exact_nash_time(
     ``max_budget``. Repetitions run through the batched ensemble engine
     by default (``engine="auto"``).
     """
-    family = get_family(family_name)
-    graph = family.make(target_n)
-    n = graph.num_vertices
-    m = int(math.ceil(m_factor * n))
-    lambda2 = algebraic_connectivity(graph)
-    quantities = GraphQuantities(n=n, max_degree=graph.max_degree, lambda2=lambda2)
+    graph = get_family(family_name).make(target_n)
+    quantities = graph_quantities(graph)
+    m = int(math.ceil(m_factor * quantities.n))
     bound = theorem12_round_bound(quantities, 1.0, 1.0)
-    budget = int(min(bound, max_budget))
-    measurement = measure_convergence_rounds(
-        graph=graph,
+    return _measure_family(
+        family_name,
+        graph,
+        quantities,
+        m,
+        bound,
+        seed,
+        "exact",
+        config=config,
         protocol=SelfishUniformProtocol(),
         state_factory=_uniform_state_factory(graph, m, adversarial=True),
         stopping=NashStop(),
         repetitions=repetitions,
-        max_rounds=budget,
-        seed=derive_seed(seed, family_name, n, "exact"),
+        max_rounds=int(min(bound, max_budget)),
         engine=engine,
-        rng_policy=rng_policy,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=backend,
-    )
-    return FamilyMeasurement(
-        family=family_name,
-        n=n,
-        m=m,
-        lambda2=lambda2,
-        max_degree=graph.max_degree,
-        median_rounds=measurement.median_rounds,
-        mean_rounds=measurement.mean_rounds,
-        bound_rounds=bound,
-        num_converged=measurement.num_converged,
-        num_repetitions=measurement.num_repetitions,
-        repetition_rounds=tuple(
-            float(value) for value in measurement.repetition_rounds
-        ),
     )

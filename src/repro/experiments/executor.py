@@ -18,7 +18,7 @@ wall-clock, never numbers.
 Three nested parallel axes compose here:
 
 1. the batch engine vectorizes the replicas *inside* one shard;
-2. ``CellSpec.shard_size`` splits one cell's replica ensemble into
+2. the config's ``shard_size`` splits one cell's replica ensemble into
    replica-window shards — each shard draws exactly the streams its
    replicas would draw in a monolithic run (offset-aware spawned
    children; globally replica-addressed counter blocks), so merging
@@ -28,7 +28,7 @@ Three nested parallel axes compose here:
    via a submit/as-completed work queue, so one huge cell no longer
    serializes the sweep.
 
-``CellSpec.target_ci`` additionally switches a family-sweep cell to
+The config's ``target_ci`` additionally switches a family-sweep cell to
 *adaptive ensemble sizing*: replicas run in shard-sized waves until the
 bootstrap CI half-width on the mean convergence round drops below the
 target (NaN rounds from unconverged replicas are excluded — see
@@ -63,7 +63,6 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from repro.analysis.statistics import bootstrap_half_width, summarize
-from repro.backends import check_backend
 from repro.errors import ValidationError
 from repro.experiments._common import (
     FamilyMeasurement,
@@ -73,6 +72,7 @@ from repro.experiments._common import (
     measure_variant_threshold_time,
     measure_weighted_threshold_time,
 )
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.experiments.scenario_cells import (
     measure_churn_band,
     measure_scenario_recovery,
@@ -93,6 +93,7 @@ from repro.scenarios import merge_replica_results
 from repro.utils.rng import derive_seed
 
 __all__ = [
+    "EXECUTOR_FIELDS",
     "CellSpec",
     "MEASUREMENT_KINDS",
     "ADAPTIVE_KINDS",
@@ -112,8 +113,9 @@ __all__ = [
 T = TypeVar("T")
 
 #: Measurement kind -> cell function. Each takes ``(family_name,
-#: target_n, m_factor, repetitions, seed)`` plus kind-specific keyword
-#: extras (a spec's ``params``) and derives its own per-cell seed.
+#: target_n, m_factor, repetitions, seed)``, a ``config`` keyword, and
+#: kind-specific keyword extras (a spec's ``params``), and derives its
+#: own per-cell seed.
 MEASUREMENT_KINDS: dict[str, Callable[..., object]] = {
     "approx": measure_psi_threshold_time,
     "exact": measure_exact_nash_time,
@@ -126,6 +128,9 @@ MEASUREMENT_KINDS: dict[str, Callable[..., object]] = {
     "workload-replay": measure_workload_replay,
     "workload-adversarial": measure_workload_adversarial,
 }
+
+#: The RunConfig fields every executor-backed experiment honours.
+EXECUTOR_FIELDS = ("workers", "rng_policy", "shard_size", "backend")
 
 #: Kinds returning a :class:`FamilyMeasurement` — the sweep kinds whose
 #: mean convergence round the adaptive CI controller can target.
@@ -191,34 +196,15 @@ class CellSpec:
     params:
         Kind-specific keyword extras as a sorted tuple of ``(name,
         value)`` pairs (tuples keep the spec hashable and picklable).
-    rng_policy:
-        Per-replica stream layout inside the cell: ``"spawned"``
-        (default, bit-identical to all earlier releases) or
-        ``"counter"`` (vectorized Philox block draws; law-level
-        equivalent and same-seed deterministic — including across
-        process boundaries, so counter cells too are byte-identical at
-        any worker count).
-    shard_size:
-        Replicas per shard. ``None`` (default) keeps the cell
-        monolithic; a value smaller than ``repetitions`` splits the
-        ensemble into replica windows that the pool schedules
-        independently, with results merged in replica order —
-        byte-identical to the monolithic run. Under adaptive sizing it
-        sets the wave size instead.
-    backend:
-        Array backend for the cell's batched kernels: ``"numpy"``
-        (default, bit-identical to all earlier releases), ``"numba"``
-        (JIT-fused kernels, ``jit`` extra), or ``"cupy"`` (GPU arrays,
-        ``gpu`` extra). Resolved inside the measurement function with
-        warn-and-fallback to numpy when the extra is missing, so the
-        knob travels process boundaries as a plain string and pooled
-        runs behave exactly like serial ones.
-    target_ci:
-        Adaptive ensemble sizing (family sweep kinds only): run
-        replicas in shard-sized waves until the bootstrap CI half-width
-        on the mean convergence round is at most this value, capped at
-        ``repetitions``. ``None`` (default) keeps the fixed repetition
-        count.
+    config:
+        How to execute the cell. Its ``rng_policy`` and ``backend``
+        reach the measurement function; ``shard_size`` (a value below
+        ``repetitions`` splits the ensemble into replica windows merged
+        byte-identically in replica order) and ``target_ci`` (adaptive
+        waves, family sweep kinds only, capped at ``repetitions``)
+        drive the scheduling here. Counter streams are same-seed
+        deterministic across processes too, so every cell is
+        byte-identical at any worker count.
     """
 
     kind: str
@@ -228,10 +214,7 @@ class CellSpec:
     repetitions: int
     seed: int
     params: tuple[tuple[str, object], ...] = ()
-    rng_policy: str = "spawned"
-    shard_size: int | None = None
-    target_ci: float | None = None
-    backend: str = "numpy"
+    config: RunConfig = DEFAULT_CONFIG
 
 
 @dataclass(frozen=True)
@@ -314,32 +297,28 @@ def _measurement_for(kind: str) -> Callable[..., object]:
 
 
 def _check_spec(spec: CellSpec) -> None:
-    """Validate one spec's sharding/adaptive configuration up front."""
+    """Validate the kind-dependent parts of one spec up front.
+
+    The config validated its own values; what remains depends on the
+    kind: adaptive sizing needs a family sweep kind, and counter
+    streams shard only on some kinds.
+    """
     _measurement_for(spec.kind)
-    check_backend(spec.backend)
-    if spec.shard_size is not None and spec.shard_size < 1:
+    config = spec.config
+    if config.target_ci is not None and spec.kind not in ADAPTIVE_KINDS:
         raise ValidationError(
-            f"shard_size must be >= 1, got {spec.shard_size}"
+            f"adaptive sizing (target_ci) targets the mean convergence "
+            f"round of the family sweep kinds {sorted(ADAPTIVE_KINDS)}; "
+            f"kind {spec.kind!r} has no such estimand"
         )
-    if spec.target_ci is not None:
-        if not spec.target_ci > 0:
-            raise ValidationError(
-                f"target_ci must be positive, got {spec.target_ci}"
-            )
-        if spec.kind not in ADAPTIVE_KINDS:
-            raise ValidationError(
-                f"adaptive sizing (target_ci) targets the mean convergence "
-                f"round of the family sweep kinds {sorted(ADAPTIVE_KINDS)}; "
-                f"kind {spec.kind!r} has no such estimand"
-            )
-    splits = spec.target_ci is not None or (
-        spec.shard_size is not None and spec.shard_size < spec.repetitions
+    splits = config.target_ci is not None or (
+        config.shard_size is not None and config.shard_size < spec.repetitions
     )
     counter_shardable = spec.kind in COUNTER_SHARDABLE_KINDS or (
         spec.kind in WORKLOAD_KINDS
         and dict(spec.params).get("tasks", "uniform") == "weighted"
     )
-    if splits and spec.rng_policy == "counter" and not counter_shardable:
+    if splits and config.rng_policy == "counter" and not counter_shardable:
         raise ValidationError(
             f"kind {spec.kind!r} cannot shard under rng_policy='counter': "
             "its draw sites consume data-dependent whole-stack counter "
@@ -360,8 +339,7 @@ def _run_monolithic(spec: CellSpec) -> object:
         m_factor=spec.m_factor,
         repetitions=spec.repetitions,
         seed=spec.seed,
-        rng_policy=spec.rng_policy,
-        backend=spec.backend,
+        config=spec.config,
         **dict(spec.params),
     )
 
@@ -376,7 +354,7 @@ def run_cell(spec: CellSpec) -> object:
     reference for every spec.
     """
     _check_spec(spec)
-    if spec.target_ci is None:
+    if spec.config.target_ci is None:
         return _run_monolithic(spec)
     job = _CellJob(spec)
     _drive_job_serial(job)
@@ -405,8 +383,7 @@ def run_cell_shard(
             seed=spec.seed,
             replica_offset=replica_offset,
             replica_count=replica_count,
-            rng_policy=spec.rng_policy,
-            backend=spec.backend,
+            config=spec.config,
             **dict(spec.params),
         )
     measure = _measurement_for(spec.kind)
@@ -416,10 +393,9 @@ def run_cell_shard(
         m_factor=spec.m_factor,
         repetitions=spec.repetitions,
         seed=spec.seed,
-        rng_policy=spec.rng_policy,
+        config=spec.config,
         replica_offset=replica_offset,
         replica_count=replica_count,
-        backend=spec.backend,
         **dict(spec.params),
     )
 
@@ -515,7 +491,7 @@ def _merge_shards(spec: CellSpec, parts: Sequence[object]) -> object:
 
 def _shard_windows(spec: CellSpec) -> list[tuple[int, int] | None]:
     """The fixed-R shard plan: ``[None]`` means one monolithic task."""
-    size = spec.shard_size
+    size = spec.config.shard_size
     if size is None or size >= spec.repetitions:
         return [None]
     return [
@@ -526,7 +502,7 @@ def _shard_windows(spec: CellSpec) -> list[tuple[int, int] | None]:
 
 def _wave_windows(spec: CellSpec) -> list[tuple[int, int]]:
     """The adaptive wave plan, up to the replica cap."""
-    size = spec.shard_size or min(spec.repetitions, _DEFAULT_ADAPTIVE_WAVE)
+    size = spec.config.shard_size or min(spec.repetitions, _DEFAULT_ADAPTIVE_WAVE)
     return [
         (offset, min(size, spec.repetitions - offset))
         for offset in range(0, spec.repetitions, size)
@@ -572,7 +548,7 @@ class _CellJob:
     def __init__(self, spec: CellSpec):
         _check_spec(spec)
         self.spec = spec
-        self.adaptive = spec.target_ci is not None
+        self.adaptive = spec.config.target_ci is not None
         self.stop_reason: str | None = None
         self.half_width = float("nan")
         self.result: object = None
@@ -639,7 +615,7 @@ class _CellJob:
         )
         if (
             not math.isnan(self.half_width)
-            and self.half_width <= spec.target_ci
+            and self.half_width <= spec.config.target_ci
         ):
             self.stop_reason = "target"
             return []
@@ -688,14 +664,14 @@ class _CellJob:
             kind=spec.kind,
             family=spec.family,
             n=spec.n,
-            rng_policy=spec.rng_policy,
+            rng_policy=spec.config.rng_policy,
             seconds=float(sum(shard.seconds for shard in shards)),
             repetitions_requested=spec.repetitions,
             repetitions_effective=effective,
             shards=shards,
             adaptive_stop=adaptive_stop,
             ci_half_width=ci_half_width,
-            backend=spec.backend,
+            backend=spec.config.backend,
         )
 
 
@@ -789,10 +765,7 @@ def sweep_specs(
     m_factor: float,
     repetitions: int,
     seed: int,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    target_ci: float | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
     **params: object,
 ) -> list[CellSpec]:
     """Expand a ``{family: [sizes]}`` sweep table into a spec list.
@@ -809,10 +782,7 @@ def sweep_specs(
             repetitions=repetitions,
             seed=seed,
             params=tuple(sorted(params.items())),
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            target_ci=target_ci,
-            backend=backend,
+            config=config,
         )
         for family, sizes in sweep.items()
         for n in sizes

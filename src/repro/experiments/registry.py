@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import inspect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
+from repro.backends import resolve_backend
 from repro.errors import ExperimentError
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.utils.tables import Table
 
 __all__ = [
@@ -52,25 +53,38 @@ class ExperimentResult:
     series: dict[str, dict[str, list]] = field(default_factory=dict)
 
 
-#: Registered experiments: id -> callable(quick: bool, seed: int) -> result.
-_REGISTRY: dict[str, Callable[[bool, int], ExperimentResult]] = {}
+#: Registered experiments: id -> (runner, the RunConfig fields it honours).
+#: Runners honouring fields are called ``runner(quick, seed, config)``,
+#: the others ``runner(quick, seed)``.
+_REGISTRY: dict[str, tuple[Callable[..., ExperimentResult], frozenset[str]]] = {}
+
+#: RunConfig field names, in declaration order.
+_FIELDS = tuple(knob.name for knob in fields(RunConfig))
 
 
 def register_experiment(
-    experiment_id: str,
-) -> Callable[[Callable[[bool, int], ExperimentResult]], Callable[[bool, int], ExperimentResult]]:
-    """Class/function decorator registering an experiment runner.
+    experiment_id: str, uses: tuple[str, ...] = ()
+) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
+    """Function decorator registering an experiment runner.
 
-    The wrapped callable must accept ``(quick, seed)`` keyword-compatible
-    positionals and return an :class:`ExperimentResult`.
+    ``uses`` names the :class:`RunConfig` fields the runner honours.
+    With none, the runner is called ``runner(quick, seed)``; otherwise
+    ``runner(quick, seed, config)``, where every field outside ``uses``
+    has been reset to its default. Either way it returns an
+    :class:`ExperimentResult`.
     """
+    unknown = set(uses) - set(_FIELDS)
+    if unknown:
+        raise ExperimentError(
+            f"unknown RunConfig field(s) {sorted(unknown)}; known: {_FIELDS}"
+        )
 
     def decorator(
-        func: Callable[[bool, int], ExperimentResult]
-    ) -> Callable[[bool, int], ExperimentResult]:
+        func: Callable[..., ExperimentResult]
+    ) -> Callable[..., ExperimentResult]:
         if experiment_id in _REGISTRY:
             raise ExperimentError(f"experiment {experiment_id!r} already registered")
-        _REGISTRY[experiment_id] = func
+        _REGISTRY[experiment_id] = (func, frozenset(uses))
         return func
 
     return decorator
@@ -103,8 +117,9 @@ def available_experiments() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_experiment(experiment_id: str) -> Callable[[bool, int], ExperimentResult]:
-    """Look up an experiment runner by id."""
+def _entry(
+    experiment_id: str,
+) -> tuple[Callable[..., ExperimentResult], frozenset[str]]:
     _ensure_loaded()
     try:
         return _REGISTRY[experiment_id]
@@ -115,31 +130,18 @@ def get_experiment(experiment_id: str) -> Callable[[bool, int], ExperimentResult
         ) from None
 
 
-def _accepts_keyword(runner: Callable[..., ExperimentResult], name: str) -> bool:
-    """Whether a registered runner takes keyword ``name``."""
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return False
-    if name in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
+def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
+    """Look up an experiment runner by id."""
+    return _entry(experiment_id)[0]
 
 
 def run_experiment(
     experiment_id: str,
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    target_ci: float | None = None,
-    trace: str | None = None,
-    workload: str | None = None,
-    backend: str = "numpy",
+    *,
+    config: RunConfig | None = None,
+    **knobs: object,
 ) -> ExperimentResult:
     """Run an experiment by id.
 
@@ -150,160 +152,63 @@ def run_experiment(
         ``False`` runs the full sweep sizes.
     seed:
         Base seed; every repetition derives an independent child.
-    workers:
-        Process count for sweep-style experiments (forwarded only to
-        runners that accept a ``workers`` keyword, so plain ``(quick,
-        seed)`` callables keep working — a :class:`RuntimeWarning` on
-        stderr flags the serial fallback when ``workers >= 2`` was
-        requested). ``None`` runs serially; parallel runs produce
-        identical results — every cell derives its own seed.
-    rng_policy:
-        Per-replica stream layout for the experiment's ensembles:
-        ``"spawned"`` (default, bit-identical to earlier releases) or
-        ``"counter"`` (vectorized Philox blocks, law-level equivalent).
-        Forwarded only to runners that accept it; requesting
-        ``"counter"`` from one that does not warns and runs spawned.
-    shard_size:
-        Replicas per executor shard: cells with more repetitions split
-        into replica-window sub-tasks the process pool schedules
-        independently (results stay byte-identical — see
-        :mod:`repro.experiments.executor`). Forwarded only to runners
-        that accept it; others warn and run monolithic cells.
-    target_ci:
-        Adaptive ensemble sizing for sweep experiments: stop each
-        family cell's replica waves once the bootstrap CI half-width on
-        its mean convergence round drops to this value (the configured
-        repetition count becomes a cap). Forwarded only to runners that
-        accept it.
-    trace:
-        Path to a saved workload trace file (``--trace``); forwarded
-        only to runners that accept a ``trace`` keyword (the
-        ``workloads-traffic`` experiment replays it as its single cell).
-        Requesting it elsewhere warns and runs the normal grid.
-    workload:
-        Name of a workload generator (``--workload``); forwarded only
-        to runners that accept it, narrowing the grid to one cell of
-        that generator.
-    backend:
-        Array backend for the experiment's batched kernels
-        (``--backend``): ``"numpy"`` (default, bit-identical to every
-        earlier release), ``"numba"`` (JIT-fused kernels, ``jit``
-        extra), or ``"cupy"`` (GPU arrays, ``gpu`` extra). Resolved
-        once up front with warn-and-fallback to numpy when the named
-        backend's optional dependency is missing; the requested and
-        effective names are both recorded in ``run_meta``. Forwarded
-        only to runners that accept a ``backend`` keyword — requesting
-        a non-numpy backend from one that does not warns and runs on
-        numpy.
+    config:
+        How to execute the run (workers, rng policy, sharding, adaptive
+        sizing, backend, trace replay, workload); see
+        :class:`RunConfig`. Defaults to serial spawned-stream numpy.
+    **knobs:
+        :class:`RunConfig` fields as keywords (``workers=2``,
+        ``rng_policy="counter"``, ...), applied on top of ``config``.
 
     Notes
     -----
-    Every result's ``data`` gains a ``run_meta`` record — the requested
-    and *effective* worker count, rng policy, and sharding knobs — so
-    JSON artifacts are self-describing about how they were produced (a
-    requested ``--workers``/``--rng``/``--shard-size`` that fell back
-    is visible in the artifact, not just on stderr). Runners that time
-    their cells report per-cell wall-clock and effective ensemble sizes
-    under ``run_meta["cell_timings"]``.
-    """
-    from repro.backends import resolve_backend
-    from repro.utils.rng import check_rng_policy
+    A runner receives only the fields it declared in
+    :func:`register_experiment`. Each other field that was requested
+    with a non-default value triggers a :class:`RuntimeWarning` and
+    falls back to its default (``workers=1`` is serial either way and
+    stays silent). A requested backend whose optional dependency is
+    missing also warns and falls back to numpy.
 
-    check_rng_policy(rng_policy)
-    # Resolve once up front so a missing optional dependency warns here
-    # (not once per cell) and run_meta can record the effective backend.
-    backend_effective = resolve_backend(backend).name
-    runner = get_experiment(experiment_id)
-    keywords: dict[str, object] = {}
-    if workers is not None and _accepts_keyword(runner, "workers"):
-        keywords["workers"] = workers
-    elif workers is not None and workers > 1:
-        warnings.warn(
-            f"experiment {experiment_id!r} does not support parallel "
-            f"execution; ignoring --workers {workers} and running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if _accepts_keyword(runner, "rng_policy"):
-        keywords["rng_policy"] = rng_policy
-    elif rng_policy != "spawned":
-        warnings.warn(
-            f"experiment {experiment_id!r} has no rng_policy parameter; "
-            f"ignoring --rng {rng_policy} and using spawned streams",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if shard_size is not None:
-        if _accepts_keyword(runner, "shard_size"):
-            keywords["shard_size"] = shard_size
-        else:
+    Every result's ``data`` gains a ``run_meta`` record: the requested
+    and *effective* worker count, rng policy, shard size, target CI and
+    backend, plus the trace, workload, seed and quick flag. A fallback
+    is therefore visible in the artifact, not just on stderr. Runners
+    that time their cells add ``run_meta["cell_timings"]``.
+    """
+    requested = replace(config or DEFAULT_CONFIG, **knobs)
+    runner, uses = _entry(experiment_id)
+    resets: dict[str, object] = {}
+    for knob in fields(RunConfig):
+        value = getattr(requested, knob.name)
+        if knob.name in uses or value == knob.default:
+            continue
+        resets[knob.name] = knob.default
+        if not (knob.name == "workers" and value == 1):
             warnings.warn(
-                f"experiment {experiment_id!r} has no shard_size parameter; "
-                f"ignoring --shard-size {shard_size} and running monolithic "
-                "cells",
+                f"experiment {experiment_id!r} "
+                + knob.metadata["fallback"].format(
+                    flag=knob.metadata["flag"], value=value
+                ),
                 RuntimeWarning,
                 stacklevel=2,
             )
-    if target_ci is not None:
-        if _accepts_keyword(runner, "target_ci"):
-            keywords["target_ci"] = target_ci
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no target_ci parameter; "
-                f"ignoring --target-ci {target_ci} and running fixed-size "
-                "ensembles",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if trace is not None:
-        if _accepts_keyword(runner, "trace"):
-            keywords["trace"] = trace
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no trace parameter; "
-                f"ignoring --trace {trace} and running its normal grid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if workload is not None:
-        if _accepts_keyword(runner, "workload"):
-            keywords["workload"] = workload
-        else:
-            warnings.warn(
-                f"experiment {experiment_id!r} has no workload parameter; "
-                f"ignoring --workload {workload} and running its normal "
-                "grid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if _accepts_keyword(runner, "backend"):
-        keywords["backend"] = backend_effective
-    elif backend_effective != "numpy":
-        warnings.warn(
-            f"experiment {experiment_id!r} has no backend parameter; "
-            f"ignoring --backend {backend} and running on numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend_effective = "numpy"
-    result = runner(quick, seed, **keywords)
+    if "backend" in uses:
+        # Resolved once up front so a missing optional dependency warns
+        # here, not once per cell.
+        resets["backend"] = resolve_backend(requested.backend).name
+    effective = replace(requested, **resets)
+    result = runner(quick, seed, effective) if uses else runner(quick, seed)
     cell_timings = result.data.pop("cell_timings", None)
-    result.data["run_meta"] = {
-        "workers_requested": workers,
-        "workers_effective": keywords.get("workers", 1) or 1,
-        "rng_policy_requested": rng_policy,
-        "rng_policy_effective": keywords.get("rng_policy", "spawned"),
-        "shard_size_requested": shard_size,
-        "shard_size_effective": keywords.get("shard_size"),
-        "target_ci_requested": target_ci,
-        "target_ci_effective": keywords.get("target_ci"),
-        "trace": keywords.get("trace"),
-        "workload": keywords.get("workload"),
-        "backend_requested": backend,
-        "backend_effective": backend_effective,
-        "seed": seed,
-        "quick": quick,
-    }
+    meta: dict[str, object] = {}
+    for knob in fields(RunConfig):
+        if knob.metadata["paired"]:
+            meta[f"{knob.name}_requested"] = getattr(requested, knob.name)
+            meta[f"{knob.name}_effective"] = getattr(effective, knob.name)
+        else:
+            meta[knob.name] = getattr(effective, knob.name)
+    meta["workers_effective"] = effective.workers or 1
+    meta.update(seed=seed, quick=quick)
     if cell_timings is not None:
-        result.data["run_meta"]["cell_timings"] = cell_timings
+        meta["cell_timings"] = cell_timings
+    result.data["run_meta"] = meta
     return result

@@ -22,7 +22,12 @@ over processes — results are identical at any worker count.
 
 from __future__ import annotations
 
-from repro.experiments.executor import CellSpec, execute_cells_report
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
+from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
+    CellSpec,
+    execute_cells_report,
+)
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.scenario_cells import (
     ChurnBandMeasurement,
@@ -33,23 +38,18 @@ from repro.utils.tables import Table, format_float
 __all__ = ["run_robustness"]
 
 
-@register_experiment("robustness")
+@register_experiment("robustness", uses=EXECUTOR_FIELDS)
 def run_robustness(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Run the self-stabilization experiment.
 
-    ``workers`` fans the shock and churn parts over processes; each part
-    derives its own stream from ``(seed, family, n, tag)``, so results
-    are identical at any worker count. ``shard_size`` additionally
-    splits each part's replica ensemble into window sub-tasks (spawned
-    policy only). ``rng_policy`` selects the per-replica stream layout
-    inside each part.
+    The shock and churn parts are two executor cells run under
+    ``config``; each derives its own stream from ``(seed, family, n,
+    tag)``, so results are identical at any worker count. They shard
+    under the spawned policy only.
     """
     repetitions = 3 if quick else 5
     specs = [
@@ -61,9 +61,7 @@ def run_robustness(
             repetitions=repetitions,
             seed=seed,
             params=(("num_shocks", 3 if quick else 6),),
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            backend=backend,
+            config=config,
         ),
         CellSpec(
             kind="churn-band",
@@ -73,14 +71,12 @@ def run_robustness(
             repetitions=repetitions,
             seed=seed,
             params=(("horizon", 400 if quick else 2000),),
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            backend=backend,
+            config=config,
         ),
     ]
     shock: ShockRecoveryMeasurement
     churn: ChurnBandMeasurement
-    report = execute_cells_report(specs, workers=workers)
+    report = execute_cells_report(specs, workers=config.workers)
     shock, churn = report.results  # type: ignore[assignment]
 
     shock_table = Table(

@@ -22,7 +22,9 @@ Three kinds:
   per-round graph factor ``Delta / lambda_2`` (``inf`` through the
   disconnected window) and post-recovery re-convergence.
 
-Each kind is split into *build* (deterministic cell construction),
+Each kind is split into *build* (deterministic cell construction; the
+builder's keywords are the kind's parameters, which its ``measure_*``
+function accepts as ``**params``),
 *run* (the ensemble — or a replica window of it,
 :func:`run_scenario_window`), and *summarize*
 (:func:`summarize_scenario_result`, pure aggregation of a
@@ -55,6 +57,7 @@ from repro.core.protocols import (
 )
 from repro.core.stopping import NashStop, PotentialThresholdStop, StoppingRule
 from repro.errors import ValidationError
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.graphs.families import get_family
 from repro.model.placement import (
     adversarial_placement,
@@ -269,17 +272,9 @@ def measure_scenario_recovery(
     m_factor: float,
     repetitions: int,
     seed: int,
-    tasks: str = "uniform",
-    churn_rate: float = 1.0,
-    churn_weight: float = 0.5,
-    shock_round: int = 60,
-    shock_fraction: float = 0.5,
-    horizon: int = 180,
-    warmup: int = 20,
-    violation_window: int = 10,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
+    **params,
 ) -> ScenarioCellMeasurement:
     """Measure recovery from a mid-churn load shock on one cell.
 
@@ -290,30 +285,10 @@ def measure_scenario_recovery(
     "scenario-<tasks>")``, so executor results are identical at any
     worker count.
     """
-    cell = _build_recovery_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        tasks=tasks,
-        churn_rate=churn_rate,
-        churn_weight=churn_weight,
-        shock_round=shock_round,
-        shock_fraction=shock_fraction,
-        horizon=horizon,
-        warmup=warmup,
-        violation_window=violation_window,
+    return _measure(
+        "scenario-recovery", family_name, target_n, m_factor, repetitions, seed,
+        engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)
 
 
 @dataclass(frozen=True)
@@ -422,12 +397,9 @@ def measure_shock_recovery(
     m_factor: float,
     repetitions: int,
     seed: int,
-    num_shocks: int = 3,
-    shock_fraction: float = 0.5,
-    budget_factor: float = 2.0,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
+    **params,
 ) -> ShockRecoveryMeasurement:
     """Measure recovery from repeated adversarial shocks on one cell.
 
@@ -438,25 +410,10 @@ def measure_shock_recovery(
     memoryless protocol must re-reach ``Psi_0 <= 4 psi_c`` within the
     bound after *every* shock.
     """
-    cell = _build_shock_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        num_shocks=num_shocks,
-        shock_fraction=shock_fraction,
-        budget_factor=budget_factor,
+    return _measure(
+        "shock-recovery", family_name, target_n, m_factor, repetitions, seed,
+        engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)
 
 
 @dataclass(frozen=True)
@@ -539,33 +496,15 @@ def measure_churn_band(
     m_factor: float,
     repetitions: int,
     seed: int,
-    churn_rate: float = 5.0,
-    horizon: int = 400,
-    warmup: int = 100,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
+    **params,
 ) -> ChurnBandMeasurement:
     """Measure the stationary potential band under Poisson churn."""
-    cell = _build_churn_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        churn_rate=churn_rate,
-        horizon=horizon,
-        warmup=warmup,
+    return _measure(
+        "churn-band", family_name, target_n, m_factor, repetitions, seed,
+        engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)
 
 
 @dataclass(frozen=True)
@@ -692,15 +631,9 @@ def measure_topology_resilience(
     m_factor: float,
     repetitions: int,
     seed: int,
-    tasks: str = "uniform",
-    fail_fraction: float = 0.3,
-    fail_round: int = 20,
-    partition_round: int = 45,
-    recover_round: int = 70,
-    horizon: int = 140,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
+    **params,
 ) -> TopologyResilienceMeasurement:
     """Measure resilience through a failure → partition → recovery cycle.
 
@@ -710,28 +643,10 @@ def measure_topology_resilience(
     policies see the identical graph sequence, and the cell can shard
     into replica windows under the spawned policy.
     """
-    cell = _build_topology_cell(
-        family_name,
-        target_n,
-        m_factor,
-        seed,
-        tasks=tasks,
-        fail_fraction=fail_fraction,
-        fail_round=fail_round,
-        partition_round=partition_round,
-        recover_round=recover_round,
-        horizon=horizon,
+    return _measure(
+        "topology-resilience", family_name, target_n, m_factor, repetitions, seed,
+        engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)
 
 
 #: Builder per scenario measurement kind; the builder's keyword surface
@@ -761,6 +676,44 @@ def _build_cell(
     return builder(family_name, target_n, m_factor, seed, **params)
 
 
+def _run_ensemble(
+    cell: _ScenarioCell,
+    repetitions: int,
+    engine: str,
+    config: RunConfig,
+    replica_offset: int = 0,
+    replica_count: int | None = None,
+) -> ScenarioResult:
+    """Run a built cell's ensemble (or a replica window of it)."""
+    return cell.runner.run_ensemble(
+        cell.factory,
+        repetitions=repetitions,
+        rounds=cell.horizon,
+        seed=cell.cell_seed,
+        engine=engine,
+        rng_policy=config.rng_policy,
+        backend=config.backend,
+        replica_offset=replica_offset,
+        replica_count=replica_count,
+    )
+
+
+def _measure(
+    kind: str,
+    family_name: str,
+    target_n: int,
+    m_factor: float,
+    repetitions: int,
+    seed: int,
+    engine: str,
+    config: RunConfig,
+    params: dict,
+):
+    """Build, run and summarize one whole scenario cell of ``kind``."""
+    cell = _build_cell(kind, family_name, target_n, m_factor, seed, params)
+    return cell.summarize(_run_ensemble(cell, repetitions, engine, config))
+
+
 def run_scenario_window(
     kind: str,
     family_name: str,
@@ -771,8 +724,7 @@ def run_scenario_window(
     replica_offset: int = 0,
     replica_count: int | None = None,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
     **params,
 ) -> ScenarioResult:
     """Run one replica window of a scenario cell (executor shard body).
@@ -786,16 +738,8 @@ def run_scenario_window(
     :meth:`ScenarioRunner.run_ensemble`).
     """
     cell = _build_cell(kind, family_name, target_n, m_factor, seed, params)
-    return cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-        replica_offset=replica_offset,
-        replica_count=replica_count,
+    return _run_ensemble(
+        cell, repetitions, engine, config, replica_offset, replica_count
     )
 
 

@@ -21,7 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.executor import CellSpec, execute_cells_report
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
+from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
+    CellSpec,
+    execute_cells_report,
+)
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.scenario_cells import ScenarioCellMeasurement
 from repro.utils.tables import Table, format_float
@@ -63,9 +68,7 @@ def _specs(
     quick: bool,
     seed: int,
     repetitions: int,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
+    config: RunConfig,
 ) -> list[CellSpec]:
     grid = SCENARIO_GRID_QUICK if quick else SCENARIO_GRID_FULL
     return [
@@ -76,9 +79,7 @@ def _specs(
             m_factor=m_factor,
             repetitions=repetitions,
             seed=seed,
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            backend=backend,
+            config=config,
             params=tuple(
                 sorted(
                     {
@@ -95,29 +96,23 @@ def _specs(
     ]
 
 
-@register_experiment("scenarios-churn-shock")
+@register_experiment("scenarios-churn-shock", uses=EXECUTOR_FIELDS)
 def run_scenarios_churn_shock(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Churn + flash-crowd scenario sweep on both task systems.
 
-    ``workers`` fans the cells over processes; every cell derives its
-    own stream from ``(seed, family, n, tag)``, so results are identical
-    at any worker count. ``shard_size`` additionally splits each cell's
-    replica ensemble into window sub-tasks (spawned policy only — the
-    counter policy's event draws consume whole-stack blocks, so
-    counter + shard_size raises). ``rng_policy`` selects the
-    per-replica stream layout inside each cell (``"counter"``
-    vectorizes the churn draws).
+    The cells run on the sweep executor under ``config``; every cell
+    derives its own stream from ``(seed, family, n, tag)``, so results
+    are identical at any worker count. Cells shard under the spawned
+    policy only: the counter policy's event draws consume whole-stack
+    blocks, so counter + shard_size raises.
     """
     repetitions = 25 if quick else 50
-    specs = _specs(quick, seed, repetitions, rng_policy, shard_size, backend)
-    report = execute_cells_report(specs, workers=workers)
+    specs = _specs(quick, seed, repetitions, config)
+    report = execute_cells_report(specs, workers=config.workers)
     cells: list[ScenarioCellMeasurement] = list(report.results)  # type: ignore[arg-type]
 
     table = Table(

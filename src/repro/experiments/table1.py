@@ -27,7 +27,9 @@ from repro.experiments._common import (
     WEIGHTED_SWEEP_QUICK,
     FamilyMeasurement,
 )
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
     execute_cells_report,
     group_by_family,
     sweep_specs,
@@ -171,26 +173,19 @@ def _fit_table(
     return table, all_ok, fits
 
 
-@register_experiment("table1-approx")
+@register_experiment("table1-approx", uses=(*EXECUTOR_FIELDS, "target_ci"))
 def run_table1_approx(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    target_ci: float | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Table 1, eps-approximate NE columns.
 
     Measures the first round with ``Psi_0 <= 4 psi_c`` (the Theorem 1.1
     target; an eps-approximate NE once ``m`` clears the Lemma 3.17
-    threshold — checked separately in ``thm11``). ``workers`` fans the
-    (family, size) cells over processes, ``shard_size`` additionally
-    splits each cell's ensemble into replica-window pool tasks; results
-    are identical at any (workers, shard_size). ``target_ci`` switches
-    to adaptive ensemble sizing (see
-    :mod:`repro.experiments.executor`).
+    threshold — checked separately in ``thm11``). The (family, size)
+    cells run on the sweep executor under ``config``; see
+    :mod:`repro.experiments.executor`.
     """
     sweep = APPROX_SWEEP_QUICK if quick else APPROX_SWEEP_FULL
     repetitions = 3 if quick else 5
@@ -200,12 +195,9 @@ def run_table1_approx(
         m_factor=8.0,
         repetitions=repetitions,
         seed=seed,
-        rng_policy=rng_policy,
-        shard_size=shard_size,
-        target_ci=target_ci,
-        backend=backend,
+        config=config,
     )
-    report = execute_cells_report(specs, workers=workers)
+    report = execute_cells_report(specs, workers=config.workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(
         specs, list(report.results)
     )
@@ -253,24 +245,17 @@ def run_table1_approx(
     return result
 
 
-@register_experiment("table1-exact")
+@register_experiment("table1-exact", uses=(*EXECUTOR_FIELDS, "target_ci"))
 def run_table1_exact(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    target_ci: float | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Table 1, exact NE columns.
 
     Measures the first round in an exact Nash equilibrium (uniform tasks,
-    uniform speeds, ``m = 8 n``, adversarial all-on-one start).
-    ``workers`` fans the (family, size) cells over processes,
-    ``shard_size`` additionally splits each cell's ensemble into
-    replica-window pool tasks; results are identical at any (workers,
-    shard_size). ``target_ci`` switches to adaptive ensemble sizing.
+    uniform speeds, ``m = 8 n``, adversarial all-on-one start), with the
+    cells on the sweep executor under ``config``.
     """
     sweep = EXACT_SWEEP_QUICK if quick else EXACT_SWEEP_FULL
     repetitions = 3 if quick else 5
@@ -280,12 +265,9 @@ def run_table1_exact(
         m_factor=8.0,
         repetitions=repetitions,
         seed=seed,
-        rng_policy=rng_policy,
-        shard_size=shard_size,
-        target_ci=target_ci,
-        backend=backend,
+        config=config,
     )
-    report = execute_cells_report(specs, workers=workers)
+    report = execute_cells_report(specs, workers=config.workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(
         specs, list(report.results)
     )
@@ -327,15 +309,11 @@ def run_table1_exact(
     return result
 
 
-@register_experiment("table1-weighted")
+@register_experiment("table1-weighted", uses=(*EXECUTOR_FIELDS, "target_ci"))
 def run_table1_weighted(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    target_ci: float | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Weighted extension of the Table 1 sweep (Theorem 1.3 target).
 
@@ -345,11 +323,7 @@ def run_table1_weighted(
     ``l_i - l_j <= 1/s_j``, per (family, size) cell, and the measured
     scaling exponent is checked against the effective exponent of the
     Theorem 1.3 bound over the same sizes — mirroring ``table1-exact``.
-    ``workers`` fans the cells over processes, ``shard_size``
-    additionally splits each cell's ensemble into replica-window pool
-    tasks; results are identical at any (workers, shard_size) under
-    both rng policies. ``target_ci`` switches to adaptive ensemble
-    sizing.
+    The cells run on the sweep executor under ``config``.
     """
     sweep = WEIGHTED_SWEEP_QUICK if quick else WEIGHTED_SWEEP_FULL
     repetitions = 3 if quick else 5
@@ -359,12 +333,9 @@ def run_table1_weighted(
         m_factor=8.0,
         repetitions=repetitions,
         seed=seed,
-        rng_policy=rng_policy,
-        shard_size=shard_size,
-        target_ci=target_ci,
-        backend=backend,
+        config=config,
     )
-    report = execute_cells_report(specs, workers=workers)
+    report = execute_cells_report(specs, workers=config.workers)
     measurements: dict[str, list[FamilyMeasurement]] = group_by_family(
         specs, list(report.results)
     )

@@ -30,7 +30,12 @@ import math
 
 import numpy as np
 
-from repro.experiments.executor import CellSpec, execute_cells_report
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
+from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
+    CellSpec,
+    execute_cells_report,
+)
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.scenario_cells import TopologyResilienceMeasurement
 from repro.utils.tables import Table, format_float
@@ -72,9 +77,7 @@ def _specs(
     quick: bool,
     seed: int,
     repetitions: int,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
+    config: RunConfig,
 ) -> list[CellSpec]:
     grid = TOPOLOGY_GRID_QUICK if quick else TOPOLOGY_GRID_FULL
     return [
@@ -85,9 +88,7 @@ def _specs(
             m_factor=m_factor,
             repetitions=repetitions,
             seed=seed,
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            backend=backend,
+            config=config,
             params=tuple(
                 sorted(
                     {
@@ -105,26 +106,23 @@ def _specs(
     ]
 
 
-@register_experiment("topology-failures")
+@register_experiment("topology-failures", uses=EXECUTOR_FIELDS)
 def run_topology_failures(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Failure → partition → recovery sweep over the datacenter families.
 
-    ``workers`` fans the cells over processes; every cell derives its
-    own stream from ``(seed, family, n, tag)``, so results are identical
-    at any worker count. The topology events themselves consume no
-    replica-stream randomness — both engines and both ``rng_policy``
-    values see the identical graph sequence.
+    The cells run on the sweep executor under ``config``; every cell
+    derives its own stream from ``(seed, family, n, tag)``, so results
+    are identical at any worker count. The topology events themselves
+    consume no replica-stream randomness — both engines and both rng
+    policies see the identical graph sequence.
     """
     repetitions = 10 if quick else 25
-    specs = _specs(quick, seed, repetitions, rng_policy, shard_size, backend)
-    report = execute_cells_report(specs, workers=workers)
+    specs = _specs(quick, seed, repetitions, config)
+    report = execute_cells_report(specs, workers=config.workers)
     cells: list[TopologyResilienceMeasurement] = list(report.results)  # type: ignore[arg-type]
 
     table = Table(

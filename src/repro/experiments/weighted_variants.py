@@ -30,7 +30,12 @@ behaviour the paper's modification removes.
 from __future__ import annotations
 
 from repro.experiments._common import WEIGHTED_VARIANT_LABELS
-from repro.experiments.executor import CellSpec, execute_cells_report
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
+from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
+    CellSpec,
+    execute_cells_report,
+)
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.utils.tables import Table, format_float
 
@@ -40,27 +45,23 @@ __all__ = ["run_weighted_variants"]
 _VARIANTS = ("flow", "pseudocode", "per-task")
 
 
-@register_experiment("weighted-variants")
+@register_experiment("weighted-variants", uses=EXECUTOR_FIELDS)
 def run_weighted_variants(
     quick: bool = True,
     seed: int = 20120716,
+    config: RunConfig = DEFAULT_CONFIG,
     engine: str = "auto",
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Run the weighted-protocol ablation.
 
     ``engine`` selects the measurement engine for the rounds-to-threshold
     statistic (``"auto"`` batches the repetitions; ``"scalar"`` forces
     the sequential reference — identical results either way, the
-    weighted kernels are pathwise equivalent). ``workers`` fans the
-    per-variant measurement cells over processes, ``shard_size``
-    additionally splits each variant's ensemble into replica-window
-    sub-tasks (both rng policies — the variant kind's draw site is
-    replica-addressed); each cell derives its seed from the variant
-    label, so results are identical at any (workers, shard_size).
+    weighted kernels are pathwise equivalent). The per-variant cells
+    run on the sweep executor under ``config``; the variant kind shards
+    under both rng policies, and each cell derives its seed from the
+    variant label, so results are identical at any (workers,
+    shard_size).
     """
     family_name = "ring"
     target_n = 8 if quick else 16
@@ -82,13 +83,11 @@ def run_weighted_variants(
                 ("max_rounds", budget),
                 ("variant", variant),
             ),
-            rng_policy=rng_policy,
-            shard_size=shard_size,
-            backend=backend,
+            config=config,
         )
         for variant in _VARIANTS
     ]
-    report = execute_cells_report(specs, workers=workers)
+    report = execute_cells_report(specs, workers=config.workers)
     measurements = list(report.results)
 
     table = Table(
@@ -148,12 +147,30 @@ def run_weighted_variants(
         f"Rounds-to-threshold measured over {repetitions} repetitions via "
         f"the {engine_used!r} engine."
     )
-    result.notes.append(
-        "Both Algorithm 2 rules reach the threshold state and stop moving "
-        "entirely (all-or-none incentive per edge)."
-        if alg2_quiet
-        else "WARNING: Algorithm 2 kept migrating after the threshold state."
-    )
+    missed = [
+        measurement
+        for measurement in measurements
+        if measurement.num_converged < measurement.num_repetitions
+        or not measurement.probe_converged
+    ]
+    for measurement in missed:
+        failures = measurement.num_repetitions - measurement.num_converged
+        where = [f"{failures} of {measurement.num_repetitions} repetitions"]
+        if not measurement.probe_converged:
+            where.append("the churn probe")
+        result.notes.append(
+            f"WARNING: {measurement.label} missed its {budget:,}-round "
+            f"budget in {' and '.join(where)}."
+        )
+    if not alg2_quiet:
+        result.notes.append(
+            "WARNING: Algorithm 2 kept migrating after the threshold state."
+        )
+    elif not missed:
+        result.notes.append(
+            "Both Algorithm 2 rules reach the threshold state and stop "
+            "moving entirely (all-or-none incentive per edge)."
+        )
     per_task_churn = rows[WEIGHTED_VARIANT_LABELS["per-task"]]["churn_per_round"]
     result.notes.append(
         f"The per-task baseline continues migrating light tasks after the "

@@ -36,8 +36,10 @@ from repro.analysis.dynamics import (
     time_averaged_imbalance,
 )
 from repro.errors import ValidationError
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.experiments.scenario_cells import (
     _CELL_BUILDERS,
+    _measure,
     _ScenarioCell,
     _scenario_setup,
 )
@@ -245,8 +247,7 @@ def measure_workload_replay(
     repetitions: int,
     seed: int,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
     **params,
 ) -> WorkloadMeasurement:
     """Replay a compiled workload trace over an ensemble and summarize.
@@ -258,19 +259,10 @@ def measure_workload_replay(
     ``conservation_ok`` verdict — across engines, RNG policies, worker
     counts, and replica shards.
     """
-    cell = _build_workload_cell(
-        family_name, target_n, m_factor, seed, **params
+    return _measure(
+        "workload-replay", family_name, target_n, m_factor, repetitions, seed,
+        engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)
 
 
 def measure_workload_adversarial(
@@ -280,8 +272,7 @@ def measure_workload_adversarial(
     repetitions: int,
     seed: int,
     engine: str = "auto",
-    rng_policy: str = "spawned",
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
     **params,
 ) -> WorkloadMeasurement:
     """Replay the adversarial generator: arrivals chase the loaded node.
@@ -291,16 +282,7 @@ def measure_workload_adversarial(
     pressure adapts per trajectory while the task timeline — and hence
     the conservation verdict — stays deterministic.
     """
-    cell = _build_adversarial_cell(
-        family_name, target_n, m_factor, seed, **params
+    return _measure(
+        "workload-adversarial", family_name, target_n, m_factor,
+        repetitions, seed, engine, config, params,
     )
-    result = cell.runner.run_ensemble(
-        cell.factory,
-        repetitions=repetitions,
-        rounds=cell.horizon,
-        seed=cell.cell_seed,
-        engine=engine,
-        rng_policy=rng_policy,
-        backend=backend,
-    )
-    return cell.summarize(result)

@@ -21,7 +21,12 @@ Two CLI hooks narrow the grid to a single cell:
 from __future__ import annotations
 
 from repro.errors import ValidationError
-from repro.experiments.executor import CellSpec, execute_cells_report
+from repro.experiments.config import DEFAULT_CONFIG, RunConfig
+from repro.experiments.executor import (
+    EXECUTOR_FIELDS,
+    CellSpec,
+    execute_cells_report,
+)
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.workload_cells import WorkloadMeasurement
 from repro.utils.tables import Table, format_float
@@ -53,12 +58,9 @@ def _grid_specs(
     quick: bool,
     seed: int,
     repetitions: int,
-    rng_policy: str,
-    shard_size: int | None,
-    trace: str | None,
-    workload: str | None,
-    backend: str = "numpy",
+    config: RunConfig,
 ) -> list[CellSpec]:
+    trace, workload = config.trace, config.workload
     if trace is not None and workload is not None:
         raise ValidationError(
             "--trace and --workload are mutually exclusive: a trace file "
@@ -110,41 +112,33 @@ def _grid_specs(
                 m_factor=m_factor,
                 repetitions=repetitions,
                 seed=seed,
-                rng_policy=rng_policy,
-                shard_size=shard_size,
-                backend=backend,
+                config=config,
                 params=tuple(sorted(params.items())),
             )
         )
     return specs
 
 
-@register_experiment("workloads-traffic")
+@register_experiment(
+    "workloads-traffic", uses=(*EXECUTOR_FIELDS, "trace", "workload")
+)
 def run_workloads_traffic(
     quick: bool = True,
     seed: int = 20120716,
-    workers: int | None = None,
-    rng_policy: str = "spawned",
-    shard_size: int | None = None,
-    trace: str | None = None,
-    workload: str | None = None,
-    backend: str = "numpy",
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> ExperimentResult:
     """Replay generated (or saved) traffic traces and verify conservation.
 
-    ``workers`` fans the cells over processes and ``shard_size`` splits
-    each cell's ensemble into replica windows; results are identical at
-    any combination. Workload cells are the one scenario kind whose
-    weighted-task ensembles shard under ``--rng counter`` too — their
-    compiled schedules are deterministic, so no event touches the
-    whole-stack counter sites.
+    The cells run on the sweep executor under ``config``, whose
+    ``trace`` or ``workload`` narrows the grid to one cell; results are
+    identical at any (workers, shard_size). Workload cells are the one
+    scenario kind whose weighted-task ensembles shard under ``--rng
+    counter`` too — their compiled schedules are deterministic, so no
+    event touches the whole-stack counter sites.
     """
     repetitions = 6 if quick else 16
-    specs = _grid_specs(
-        quick, seed, repetitions, rng_policy, shard_size, trace, workload,
-        backend,
-    )
-    report = execute_cells_report(specs, workers=workers)
+    specs = _grid_specs(quick, seed, repetitions, config)
+    report = execute_cells_report(specs, workers=config.workers)
     cells: list[WorkloadMeasurement] = list(report.results)  # type: ignore[arg-type]
 
     table = Table(

@@ -52,13 +52,26 @@ def adversarial_placement(speeds: object, m: int) -> IntArray:
     return all_on_one_placement(speeds_array.shape[0], m, node=slowest)
 
 
+#: Tasks drawn per ``rng.integers`` call in :func:`random_placement`.
+#: Bounds the temporary assignment at 8 MB whatever ``m`` is; successive
+#: draws continue the same stream, so the counts (and the generator's
+#: final state) equal those of one ``m``-long draw.
+_PLACEMENT_CHUNK = 2**20
+
+
 def random_placement(n: int, m: int, seed: SeedLike = None) -> IntArray:
-    """Each task placed on an independent uniformly random node."""
+    """Each task placed on an independent uniformly random node.
+
+    Memory is ``O(n)`` plus one fixed-size chunk, not ``O(m)``.
+    """
     n = check_integer(n, "n", minimum=1)
     m = check_integer(m, "m", minimum=0)
     rng = make_rng(seed)
-    assignment = rng.integers(0, n, size=m)
-    return np.bincount(assignment, minlength=n).astype(np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, m, _PLACEMENT_CHUNK):
+        size = min(_PLACEMENT_CHUNK, m - start)
+        counts += np.bincount(rng.integers(0, n, size=size), minlength=n)
+    return counts
 
 
 def proportional_placement(speeds: object, m: int) -> IntArray:

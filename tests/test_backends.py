@@ -1,8 +1,8 @@
 """Conformance suite for the pluggable array-backend seam.
 
-Four layers of contract, each over every *installed* backend (missing
-optional dependencies skip via the ``requires_numba`` /
-``requires_cupy`` markers, they never fail):
+Four layers of contract, each over every *installed* backend (a missing
+optional dependency skips via the ``requires_numba`` marker, it never
+fails):
 
 * **seam shape** — every backend exposes the :class:`ArrayBackend`
   surface (name, availability probe, ``xp`` module, transfer pair,
@@ -14,7 +14,7 @@ optional dependencies skip via the ``requires_numba`` /
   retired (non-contiguous) rows returns exactly what the old full-span
   gather returned, while the run-splitting fill never draws for the
   gaps;
-* **accelerated-backend laws** — numba/cupy kernels are same-seed
+* **accelerated-backend laws** — numba kernels are same-seed
   deterministic, conserve the per-replica exact totals, and agree with
   the numpy reference in law (KS over first-hitting rounds).
 
@@ -34,7 +34,6 @@ import pytest
 from repro.backends import (
     BACKEND_NAMES,
     ArrayBackend,
-    CupyBackend,
     NumbaBackend,
     NumpyBackend,
     available_backends,
@@ -42,6 +41,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.errors import ValidationError
+from repro.experiments import RunConfig
 from repro.experiments._common import (
     measure_psi_threshold_time,
     measure_variant_threshold_time,
@@ -54,13 +54,11 @@ from equivalence import assert_batch_conserves, assert_ks_agreement
 _BACKEND_CLASSES = {
     "numpy": NumpyBackend,
     "numba": NumbaBackend,
-    "cupy": CupyBackend,
 }
 
 #: Marker per accelerated backend (conftest skips when not importable).
 _BACKEND_MARKS = {
     "numba": pytest.mark.requires_numba,
-    "cupy": pytest.mark.requires_cupy,
 }
 
 KERNEL_NAMES = ("weighted_migrate", "uniform_pvals")
@@ -98,7 +96,7 @@ class _BackendProtocol:
 
 class TestSeamShape:
     def test_backend_names_cover_registry(self):
-        assert BACKEND_NAMES == ("numpy", "numba", "cupy")
+        assert BACKEND_NAMES == ("numpy", "numba")
         for name in BACKEND_NAMES:
             assert _BACKEND_CLASSES[name].name == name
 
@@ -189,7 +187,7 @@ class TestResolveBackend:
 
     def test_missing_dependency_warns_and_falls_back(self):
         missing = [
-            name for name in ("numba", "cupy") if name not in available_backends()
+            name for name in ("numba",) if name not in available_backends()
         ]
         if not missing:
             pytest.skip("all optional backends installed; nothing to fall back")
@@ -220,7 +218,8 @@ class TestNumpyBitIdentity:
     def test_weighted_counter_measurement(self, backend):
         kwargs = {} if backend is None else {"backend": backend}
         measurement = measure_weighted_threshold_time(
-            "ring", 8, 8.0, repetitions=6, seed=123, rng_policy="counter", **kwargs
+            "ring", 8, 8.0, repetitions=6, seed=123,
+            config=RunConfig(rng_policy="counter", **kwargs),
         )
         assert tuple(measurement.repetition_rounds) == self.WEIGHTED_GOLDEN
 
@@ -228,7 +227,8 @@ class TestNumpyBitIdentity:
     def test_uniform_counter_measurement(self, backend):
         kwargs = {} if backend is None else {"backend": backend}
         measurement = measure_psi_threshold_time(
-            "ring", 8, 2.0, repetitions=4, seed=77, rng_policy="counter", **kwargs
+            "ring", 8, 2.0, repetitions=4, seed=77,
+            config=RunConfig(rng_policy="counter", **kwargs),
         )
         assert tuple(measurement.repetition_rounds) == self.UNIFORM_GOLDEN
 
@@ -241,12 +241,11 @@ class TestNumpyBitIdentity:
             0.0,
             repetitions=4,
             seed=9,
-            rng_policy="counter",
+            config=RunConfig(rng_policy="counter", **kwargs),
             variant="per-task",
             m=60,
             max_rounds=5000,
             churn_window=10,
-            **kwargs,
         )
         assert tuple(measurement.repetition_rounds) == self.PERTASK_GOLDEN
         assert measurement.churn_per_round == pytest.approx(0.7)
@@ -329,11 +328,7 @@ class TestSparseRowFill:
 
 
 @pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=_BACKEND_MARKS[name])
-        for name in ("numba", "cupy")
-    ],
+    "name", [pytest.param("numba", marks=_BACKEND_MARKS["numba"])]
 )
 class TestAcceleratedBackends:
     """Law-level contracts for the fused-kernel backends.
@@ -341,8 +336,7 @@ class TestAcceleratedBackends:
     The fused kernels replace the numpy arithmetic, so the contract is
     the counter layout's own: same-seed determinism, exact per-replica
     conservation, and KS agreement with the numpy reference — not
-    bit-identity (summation order and, for cupy, the Philox variant
-    differ).
+    bit-identity (summation order differs).
     """
 
     def test_registers_fused_kernels(self, name):
@@ -359,8 +353,7 @@ class TestAcceleratedBackends:
                 8.0,
                 repetitions=6,
                 seed=123,
-                rng_policy="counter",
-                backend=name,
+                config=RunConfig(rng_policy="counter", backend=name),
             ).repetition_rounds
 
         np.testing.assert_array_equal(np.asarray(run()), np.asarray(run()))
@@ -396,7 +389,12 @@ class TestAcceleratedBackends:
 
     def test_weighted_law_agreement_with_numpy(self, name):
         reference = measure_weighted_threshold_time(
-            "ring", 8, 4.0, repetitions=40, seed=1234, rng_policy="counter"
+            "ring",
+            8,
+            4.0,
+            repetitions=40,
+            seed=1234,
+            config=RunConfig(rng_policy="counter"),
         )
         accelerated = measure_weighted_threshold_time(
             "ring",
@@ -404,8 +402,7 @@ class TestAcceleratedBackends:
             4.0,
             repetitions=40,
             seed=1234,
-            rng_policy="counter",
-            backend=name,
+            config=RunConfig(rng_policy="counter", backend=name),
         )
         assert accelerated.num_converged == accelerated.num_repetitions
         assert_ks_agreement(
@@ -416,7 +413,12 @@ class TestAcceleratedBackends:
 
     def test_uniform_law_agreement_with_numpy(self, name):
         reference = measure_psi_threshold_time(
-            "ring", 8, 2.0, repetitions=40, seed=555, rng_policy="counter"
+            "ring",
+            8,
+            2.0,
+            repetitions=40,
+            seed=555,
+            config=RunConfig(rng_policy="counter"),
         )
         accelerated = measure_psi_threshold_time(
             "ring",
@@ -424,8 +426,7 @@ class TestAcceleratedBackends:
             2.0,
             repetitions=40,
             seed=555,
-            rng_policy="counter",
-            backend=name,
+            config=RunConfig(rng_policy="counter", backend=name),
         )
         assert accelerated.num_converged == accelerated.num_repetitions
         assert_ks_agreement(
@@ -439,21 +440,21 @@ class TestExecutorAndCLIDegradation:
     def test_cellspec_rejects_unknown_backend(self):
         from repro.experiments.executor import CellSpec, run_cell
 
-        spec = CellSpec(
-            kind="weighted",
-            family="ring",
-            n=8,
-            m_factor=8.0,
-            repetitions=2,
-            seed=5,
-            backend="jax",
-        )
         with pytest.raises(ValidationError, match="backend must be one of"):
+            spec = CellSpec(
+                kind="weighted",
+                family="ring",
+                n=8,
+                m_factor=8.0,
+                repetitions=2,
+                seed=5,
+                config=RunConfig(backend="jax"),
+            )
             run_cell(spec)
 
     def test_run_experiment_records_backend_fallback(self, tmp_path):
         missing = [
-            name for name in ("cupy", "numba") if name not in available_backends()
+            name for name in ("numba",) if name not in available_backends()
         ]
         if not missing:
             pytest.skip("all optional backends installed; nothing degrades")
@@ -468,9 +469,9 @@ class TestExecutorAndCLIDegradation:
         assert meta["backend_requested"] == missing[0]
         assert meta["backend_effective"] == "numpy"
 
-    def test_cli_backend_cupy_degrades_to_exit_zero(self, tmp_path, capsys):
-        if "cupy" in available_backends():
-            pytest.skip("cupy installed and usable; no degradation to test")
+    def test_cli_backend_numba_degrades_to_exit_zero(self, tmp_path, capsys):
+        if "numba" in available_backends():
+            pytest.skip("numba installed and usable; no degradation to test")
         import json
 
         from repro.experiments.__main__ import main
@@ -483,7 +484,7 @@ class TestExecutorAndCLIDegradation:
                     "run",
                     "weighted-variants",
                     "--backend",
-                    "cupy",
+                    "numba",
                     "--seed",
                     "7",
                     "--json",
@@ -493,5 +494,5 @@ class TestExecutorAndCLIDegradation:
         capsys.readouterr()
         assert exit_code == 0
         meta = json.loads(json_path.read_text())["weighted-variants"]["run_meta"]
-        assert meta["backend_requested"] == "cupy"
+        assert meta["backend_requested"] == "numba"
         assert meta["backend_effective"] == "numpy"

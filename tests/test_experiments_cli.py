@@ -40,32 +40,12 @@ def stub_cli(monkeypatch):
         "stub-fail": make_result("stub-fail", passed=False, series_name="curve"),
     }
 
-    def fake_run(
-        experiment_id,
-        quick=True,
-        seed=0,
-        workers=None,
-        rng_policy="spawned",
-        shard_size=None,
-        target_ci=None,
-        trace=None,
-        workload=None,
-        backend="numpy",
-    ):
+    def fake_run(experiment_id, quick=True, seed=0, config=None):
         from repro.experiments.registry import run_experiment
 
         if experiment_id not in results:
             return run_experiment(
-                experiment_id,
-                quick=quick,
-                seed=seed,
-                workers=workers,
-                rng_policy=rng_policy,
-                shard_size=shard_size,
-                target_ci=target_ci,
-                trace=trace,
-                workload=workload,
-                backend=backend,
+                experiment_id, quick=quick, seed=seed, config=config
             )
         return results[experiment_id]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.experiments import RunConfig
 from repro.experiments._common import (
     WEIGHTED_SWEEP_QUICK,
     FamilyMeasurement,
@@ -178,9 +179,9 @@ class TestRegistryWorkersPassThrough:
         experiment_id = "_test-workers-aware"
         seen = {}
 
-        @register_experiment(experiment_id)
-        def aware(quick, seed, workers=None):
-            seen["workers"] = workers
+        @register_experiment(experiment_id, uses=("workers",))
+        def aware(quick, seed, config):
+            seen["workers"] = config.workers
             return ExperimentResult(experiment_id=experiment_id, title="t")
 
         try:
@@ -235,7 +236,7 @@ class TestRegistryWorkersPassThrough:
 class TestRngPolicySpecs:
     def test_default_policy_is_spawned(self):
         for spec in WEIGHTED_SPECS:
-            assert spec.rng_policy == "spawned"
+            assert spec.config.rng_policy == "spawned"
 
     def test_sweep_specs_thread_policy(self):
         specs = sweep_specs(
@@ -244,9 +245,9 @@ class TestRngPolicySpecs:
             m_factor=8.0,
             repetitions=2,
             seed=5,
-            rng_policy="counter",
+            config=RunConfig(rng_policy="counter"),
         )
-        assert all(spec.rng_policy == "counter" for spec in specs)
+        assert all(spec.config.rng_policy == "counter" for spec in specs)
 
     def test_counter_cell_matches_spawned_cell_shape(self):
         """A counter cell returns the same measurement type with the
@@ -258,7 +259,7 @@ class TestRngPolicySpecs:
             m_factor=2.0,
             repetitions=2,
             seed=5,
-            rng_policy="counter",
+            config=RunConfig(rng_policy="counter"),
         )
         counter = run_cell(spec)
         spawned = run_cell(
@@ -302,7 +303,7 @@ class TestCounterSubprocessDeterminism:
             m_factor=2.0,
             repetitions=3,
             seed=77,
-            rng_policy="counter",
+            config=RunConfig(rng_policy="counter"),
         )
         local_result = run_cell(spec)
 
@@ -338,7 +339,10 @@ class TestShardedExecution:
     @pytest.mark.parametrize("rng_policy", ["spawned", "counter"])
     def test_sharded_family_cell_matches_monolithic(self, rng_policy):
         monolithic = run_cell(
-            CellSpec("weighted", "ring", 8, 2.0, 7, 123, rng_policy=rng_policy)
+            CellSpec(
+                "weighted", "ring", 8, 2.0, 7, 123,
+                config=RunConfig(rng_policy=rng_policy),
+            )
         )
         for shard_size in (1, 2, 3, 5):
             sharded = execute_cells(
@@ -350,8 +354,7 @@ class TestShardedExecution:
                         2.0,
                         7,
                         123,
-                        rng_policy=rng_policy,
-                        shard_size=shard_size,
+                        config=RunConfig(rng_policy=rng_policy, shard_size=shard_size),
                     )
                 ],
                 workers=2,
@@ -370,7 +373,7 @@ class TestShardedExecution:
                 5,
                 31,
                 params=params,
-                rng_policy=rng_policy,
+                config=RunConfig(rng_policy=rng_policy),
             )
         )
         sharded = execute_cells(
@@ -383,8 +386,7 @@ class TestShardedExecution:
                     5,
                     31,
                     params=params,
-                    rng_policy=rng_policy,
-                    shard_size=2,
+                    config=RunConfig(rng_policy=rng_policy, shard_size=2),
                 )
             ],
             workers=2,
@@ -399,7 +401,12 @@ class TestShardedExecution:
             CellSpec("scenario-recovery", "ring", 8, 2.0, 4, 9)
         )
         sharded = execute_cells(
-            [CellSpec("scenario-recovery", "ring", 8, 2.0, 4, 9, shard_size=2)],
+            [
+                CellSpec(
+                    "scenario-recovery", "ring", 8, 2.0, 4, 9,
+                    config=RunConfig(shard_size=2),
+                )
+            ],
             workers=2,
         )[0]
         assert _pickled(sharded) == _pickled(monolithic)
@@ -411,7 +418,7 @@ class TestShardedExecution:
             m_factor=8.0,
             repetitions=4,
             seed=5,
-            shard_size=2,
+            config=RunConfig(shard_size=2),
         )
         serial = execute_cells(specs, workers=None)
         pooled = execute_cells(specs, workers=3)
@@ -427,7 +434,8 @@ class TestShardedExecution:
     def test_counter_unshardable_kinds_refused(self):
         for kind in ("approx", "scenario-recovery"):
             spec = CellSpec(
-                kind, "ring", 8, 2.0, 6, 1, rng_policy="counter", shard_size=2
+                kind, "ring", 8, 2.0, 6, 1,
+                config=RunConfig(rng_policy="counter", shard_size=2),
             )
             with pytest.raises(ValidationError, match="cannot shard"):
                 run_cell(spec)
@@ -445,15 +453,19 @@ class TestShardedExecution:
                 2.0,
                 3,
                 1,
-                rng_policy="counter",
-                shard_size=10,
+                config=RunConfig(rng_policy="counter", shard_size=10),
             )
         )
         assert cell.num_repetitions == 3
 
     def test_invalid_shard_size_rejected(self):
         with pytest.raises(ValidationError, match="shard_size"):
-            run_cell(CellSpec("weighted", "ring", 8, 2.0, 3, 1, shard_size=0))
+            run_cell(
+                CellSpec(
+                    "weighted", "ring", 8, 2.0, 3, 1,
+                    config=RunConfig(shard_size=0),
+                )
+            )
 
     def test_pickled_sharded_counter_cell_reproduces_across_processes(self):
         """The sharded-counter analogue of the monolithic subprocess
@@ -468,7 +480,8 @@ class TestShardedExecution:
 
         monolithic = run_cell(
             CellSpec(
-                "weighted", "ring", 8, 2.0, 7, 77, rng_policy="counter"
+                "weighted", "ring", 8, 2.0, 7, 77,
+                config=RunConfig(rng_policy="counter"),
             )
         )
         sharded_spec = CellSpec(
@@ -478,8 +491,7 @@ class TestShardedExecution:
             2.0,
             7,
             77,
-            rng_policy="counter",
-            shard_size=3,
+            config=RunConfig(rng_policy="counter", shard_size=3),
         )
 
         env = dict(os.environ)
@@ -508,7 +520,8 @@ class TestAdaptiveSizing:
     """target_ci: wave-based adaptive ensemble sizing."""
 
     SPEC = CellSpec(
-        "weighted", "ring", 16, 4.0, 64, 7, shard_size=8, target_ci=5.0
+        "weighted", "ring", 16, 4.0, 64, 7,
+        config=RunConfig(shard_size=8, target_ci=5.0),
     )
 
     def test_stops_before_cap_with_fewer_replicas(self):
@@ -517,7 +530,7 @@ class TestAdaptiveSizing:
         report = execute_cells_report([self.SPEC], workers=None)
         timing = report.timings[0]
         assert timing.adaptive_stop == "target"
-        assert timing.ci_half_width <= self.SPEC.target_ci
+        assert timing.ci_half_width <= self.SPEC.config.target_ci
         assert timing.repetitions_effective < timing.repetitions_requested
         assert (
             report.results[0].num_repetitions == timing.repetitions_effective
@@ -535,8 +548,7 @@ class TestAdaptiveSizing:
                 4.0,
                 64,
                 7,
-                shard_size=8,
-                target_ci=5.0,
+                config=RunConfig(shard_size=8, target_ci=5.0),
             ),
         ]
         serial = execute_cells_report(specs, workers=None)
@@ -555,7 +567,8 @@ class TestAdaptiveSizing:
         from repro.experiments.executor import execute_cells_report
 
         spec = CellSpec(
-            "weighted", "ring", 8, 2.0, 6, 7, shard_size=2, target_ci=1e-9
+            "weighted", "ring", 8, 2.0, 6, 7,
+            config=RunConfig(shard_size=2, target_ci=1e-9),
         )
         report = execute_cells_report([spec], workers=None)
         timing = report.timings[0]
@@ -579,8 +592,7 @@ class TestAdaptiveSizing:
             6,
             7,
             params=(("max_budget", 1),),
-            shard_size=2,
-            target_ci=100.0,
+            config=RunConfig(shard_size=2, target_ci=100.0),
         )
         report = execute_cells_report([spec], workers=None)
         timing = report.timings[0]
@@ -595,12 +607,20 @@ class TestAdaptiveSizing:
         for kind in ("weighted-variant", "scenario-recovery"):
             with pytest.raises(ValidationError, match="adaptive sizing"):
                 run_cell(
-                    CellSpec(kind, "ring", 8, 2.0, 6, 1, target_ci=1.0)
+                    CellSpec(
+                        kind, "ring", 8, 2.0, 6, 1,
+                        config=RunConfig(target_ci=1.0),
+                    )
                 )
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError, match="target_ci"):
-            run_cell(CellSpec("weighted", "ring", 8, 2.0, 6, 1, target_ci=0.0))
+            run_cell(
+                CellSpec(
+                    "weighted", "ring", 8, 2.0, 6, 1,
+                    config=RunConfig(target_ci=0.0),
+                )
+            )
 
 
 class TestExecutionReport:
@@ -610,7 +630,10 @@ class TestExecutionReport:
         from repro.experiments.executor import execute_cells_report
 
         specs = [
-            CellSpec("weighted", "ring", 8, 2.0, 4, 5, shard_size=2),
+            CellSpec(
+                "weighted", "ring", 8, 2.0, 4, 5,
+                config=RunConfig(shard_size=2),
+            ),
             CellSpec("weighted", "torus", 9, 2.0, 4, 5),
         ]
         report = execute_cells_report(specs, workers=None)

@@ -59,11 +59,9 @@ class TestRegistry:
 class TestWorkersForwarding:
     """``workers`` must never be dropped silently (PR 4 satellite)."""
 
-    def _temporary_experiment(self, runner):
-        from repro.experiments import registry
-
+    def _temporary_experiment(self, runner, uses=()):
         experiment_id = "_test-workers-forwarding"
-        registry._REGISTRY[experiment_id] = runner
+        register_experiment(experiment_id, uses=uses)(runner)
         return experiment_id
 
     def _cleanup(self, experiment_id):
@@ -100,11 +98,11 @@ class TestWorkersForwarding:
     def test_workers_forwarded_when_declared(self):
         seen = {}
 
-        def runner(quick, seed, workers=None):
-            seen["workers"] = workers
+        def runner(quick, seed, config):
+            seen["workers"] = config.workers
             return ExperimentResult(experiment_id="w", title="w")
 
-        experiment_id = self._temporary_experiment(runner)
+        experiment_id = self._temporary_experiment(runner, uses=("workers",))
         try:
             run_experiment(experiment_id, workers=3)
         finally:

@@ -48,6 +48,29 @@ class TestRandomPlacement:
         counts = random_placement(4, 40000, seed=2)
         assert np.all(np.abs(counts - 10000) < 500)
 
+    @pytest.mark.parametrize("n", [7, 1600, 40000])
+    def test_chunked_draw_equals_one_shot_draw(self, n):
+        """Counts and the generator's final state match one m-long draw,
+        with m large enough to cross several chunk boundaries."""
+        m = 3_000_003
+        reference = np.random.default_rng(11)
+        expected = np.bincount(reference.integers(0, n, size=m), minlength=n)
+        rng = np.random.default_rng(11)
+        np.testing.assert_array_equal(random_placement(n, m, rng), expected)
+        assert rng.integers(0, 2**62) == reference.integers(0, 2**62)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            counts = random_placement(1600, 50_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 50_000_000
+        assert peak < 32 * 2**20
+
 
 class TestProportionalPlacement:
     def test_exact_total(self):

@@ -27,6 +27,7 @@ from repro.core.protocols import (
 )
 from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
+from repro.experiments import RunConfig
 from repro.experiments._common import measure_weighted_threshold_time
 from repro.experiments.scenario_cells import measure_scenario_recovery
 from repro.graphs.generators import cycle_graph, star_graph, torus_graph
@@ -394,14 +395,15 @@ class TestPolicyMatrix:
     def test_weighted_measurement_cell(self, cli_rng_policy):
         measurement = measure_weighted_threshold_time(
             "ring", 8, m_factor=8.0, repetitions=3, seed=20120716,
-            rng_policy=cli_rng_policy,
+            config=RunConfig(rng_policy=cli_rng_policy),
         )
         assert measurement.num_converged == measurement.num_repetitions
 
     def test_scenario_recovery_cell(self, cli_rng_policy):
         cell = measure_scenario_recovery(
             "torus", 9, m_factor=8.0, repetitions=10, seed=20120716,
-            tasks="uniform", horizon=120, rng_policy=cli_rng_policy,
+            tasks="uniform", horizon=120,
+            config=RunConfig(rng_policy=cli_rng_policy),
         )
         assert cell.engine == "batch"
         assert cell.num_recovered == cell.num_replicas

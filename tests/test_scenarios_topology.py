@@ -17,6 +17,7 @@ from repro.core.protocols import SelfishUniformProtocol
 from repro.core.simulator import Simulator
 from repro.core.stopping import PotentialThresholdStop
 from repro.errors import ModelError, SimulationError, ValidationError
+from repro.experiments import RunConfig
 from repro.graphs.generators import cycle_graph, fat_tree_graph, torus_graph
 from repro.model.placement import random_placement
 from repro.model.state import UniformState
@@ -276,12 +277,12 @@ class TestTopologyResilienceCell:
             m_factor=8.0,
             repetitions=4,
             seed=20120716,
-            rng_policy=cli_rng_policy,
             fail_fraction=0.25,
             fail_round=20,
             partition_round=45,
             recover_round=70,
             horizon=140,
+            config=RunConfig(rng_policy=cli_rng_policy),
         )
         assert cell.family == "fat-tree"
         assert cell.n == 20
