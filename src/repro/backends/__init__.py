@@ -1,12 +1,11 @@
 """Pluggable array backends for the batched kernels.
 
-The seam is :class:`~repro.backends.base.ArrayBackend` — an array
-module handle (``xp``), host transfer (``asarray`` / ``to_numpy``), a
-fused-kernel registry (``kernel(name)``), and the counter layout's
-Philox fill hook — with two implementations:
+The seam is :class:`~repro.backends.base.ArrayBackend` — a
+fused-kernel registry (``kernel(name)``) over host numpy arrays — with
+two implementations:
 
-* ``"numpy"`` (default) — the identity: no fused kernels, reference
-  Philox fill, bit-identical to running without a backend at all.
+* ``"numpy"`` (default) — the identity: no fused kernels,
+  bit-identical to running without a backend at all.
 * ``"numba"`` — JIT-fused host kernels (optional ``jit`` extra). Same
   Philox draws as numpy; the weighted counter kernel collapses to one
   ``@njit(parallel=True)`` pass.

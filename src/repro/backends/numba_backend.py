@@ -18,16 +18,14 @@ protocols with single ``@njit(parallel=True)`` passes:
   itself stays on the host numpy ``Generator`` under every backend.
 
 Both kernels take and return host numpy arrays — numba is a compiler
-for the host, not a device, so ``xp`` is numpy and transfer is the
-identity. Randomness stays on the reference Philox fill (already a
-single C-speed block generation; nothing to fuse).
+for the host, not a device. Randomness stays on the counter layout's
+Philox fill (already a single C-speed block generation; nothing to
+fuse).
 """
 
 from __future__ import annotations
 
 import importlib.util
-
-import numpy as np
 
 from repro.backends.base import ArrayBackend
 
@@ -183,16 +181,6 @@ class NumbaBackend(ArrayBackend):
     @classmethod
     def is_available(cls) -> bool:
         return importlib.util.find_spec("numba") is not None
-
-    @property
-    def xp(self):
-        return np
-
-    def asarray(self, array) -> np.ndarray:
-        return np.asarray(array)
-
-    def to_numpy(self, array) -> np.ndarray:
-        return np.asarray(array)
 
     def kernel(self, name: str):
         if njit is None:

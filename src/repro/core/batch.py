@@ -243,9 +243,9 @@ class BatchSimulator:
             Optional hook ``(round_index, batch)`` invoked immediately
             after each executed batched round's kernel. The stack is
             untouched between ``after_round(t)`` and ``before_round(t +
-            1)``, so an observer recording here sees exactly the stack a
-            row-``t + 1`` scenario record would — the streaming scenario
-            recorder relies on that equivalence.
+            1)``, so an observer recording here sees exactly the stack
+            round ``t + 1``'s events will see — the scenario runner
+            observes its row ``t + 1`` here.
         """
         max_rounds = check_integer(max_rounds, "max_rounds", minimum=0)
         check_every = check_integer(check_every, "check_every", minimum=1)
@@ -257,8 +257,7 @@ class BatchSimulator:
         num_replicas = batch.num_replicas
         if rngs is None:
             streams: StreamLayout = make_streams(
-                self._rng_policy, self._seed, num_replicas,
-                backend=self._backend,
+                self._rng_policy, self._seed, num_replicas
             )
         else:
             streams = as_stream_layout(rngs)

@@ -145,8 +145,8 @@ class Simulator:
             after each executed round's kernel. Nothing touches the
             state between ``after_round(t)`` and ``before_round(t +
             1)``, so an observer recording here sees exactly the state
-            a row-``t + 1`` trace record would — the streaming scenario
-            recorder relies on that equivalence.
+            a row-``t + 1`` trace record would — the scenario runner
+            observes its row ``t + 1`` here.
 
         Returns
         -------

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.backends import check_backend
 from repro.errors import ValidationError
 from repro.utils.rng import check_rng_policy
+from repro.workloads.generators import available_workloads
 
 __all__ = ["RunConfig", "DEFAULT_CONFIG"]
 
@@ -65,7 +66,9 @@ class RunConfig:
         Path of a saved workload trace to replay (``--trace``).
     workload:
         Workload generator name narrowing the traffic grid to one cell
-        (``--workload``).
+        (``--workload``); one of
+        :func:`~repro.workloads.available_workloads`, and not together
+        with ``trace`` (a trace file already fixes the generator).
     """
 
     workers: int | None = _knob(
@@ -126,6 +129,16 @@ class RunConfig:
                 f"target_ci must be positive, got {self.target_ci}"
             )
         check_backend(self.backend)
+        if self.trace is not None and self.workload is not None:
+            raise ValidationError(
+                "trace cannot be combined with a workload: a trace file "
+                "already fixes the generator"
+            )
+        if self.workload is not None and self.workload not in available_workloads():
+            raise ValidationError(
+                f"workload {self.workload!r} is an unknown workload "
+                f"generator; available: {available_workloads()}"
+            )
 
 
 #: The all-defaults configuration (serial, spawned streams, numpy).

@@ -16,11 +16,13 @@ Two CLI hooks narrow the grid to a single cell:
   initial placement size and horizon);
 * ``--workload NAME`` runs one cell of the named generator from the
   catalog (:func:`~repro.workloads.available_workloads`).
+
+:class:`~repro.experiments.config.RunConfig` refuses an unknown
+generator and the two hooks together, before any experiment runs.
 """
 
 from __future__ import annotations
 
-from repro.errors import ValidationError
 from repro.experiments.config import DEFAULT_CONFIG, RunConfig
 from repro.experiments.executor import (
     EXECUTOR_FIELDS,
@@ -30,7 +32,7 @@ from repro.experiments.executor import (
 from repro.experiments.registry import ExperimentResult, register_experiment
 from repro.experiments.workload_cells import WorkloadMeasurement
 from repro.utils.tables import Table, format_float
-from repro.workloads import available_workloads, load_trace
+from repro.workloads import load_trace
 
 __all__ = ["run_workloads_traffic"]
 
@@ -61,11 +63,6 @@ def _grid_specs(
     config: RunConfig,
 ) -> list[CellSpec]:
     trace, workload = config.trace, config.workload
-    if trace is not None and workload is not None:
-        raise ValidationError(
-            "--trace and --workload are mutually exclusive: a trace file "
-            "already fixes the generator"
-        )
     if trace is not None:
         # The trace dictates node count, placement size, and horizon;
         # the complete family realizes any vertex count exactly.
@@ -82,11 +79,6 @@ def _grid_specs(
             )
         ]
     elif workload is not None:
-        if workload not in available_workloads():
-            raise ValidationError(
-                f"unknown workload {workload!r}; "
-                f"available: {sorted(available_workloads())}"
-            )
         kind = (
             "workload-adversarial"
             if workload == "adversarial"

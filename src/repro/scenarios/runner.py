@@ -3,20 +3,29 @@
 :class:`ScenarioRunner` drives a protocol under a
 :class:`~repro.scenarios.schedule.Schedule` of workload events through
 either engine — the scalar :class:`~repro.core.simulator.Simulator` or
-the batched :class:`~repro.core.batch.BatchSimulator` — via their
-``before_round`` hooks: before each protocol round the runner records
-the observables of the current state, then applies the events due that
-round. Because the load is non-quiescent (events keep perturbing the
-system), nothing *stops* the run; instead the optional ``target``
-stopping rule is evaluated every round and its per-round verdicts are
-recorded, from which :mod:`repro.analysis.dynamics` extracts recovery
-times and steady-state bands.
+the batched :class:`~repro.core.batch.BatchSimulator` — with one loop:
+row 0 is observed before the run, the events due at round ``t`` apply
+in the simulator's ``before_round(t)`` hook, and row ``t + 1`` is
+observed in its ``after_round(t)`` hook, where the state is exactly the
+one the next round's events will see. Because the load is
+non-quiescent (events keep perturbing the system), nothing *stops* the
+run; instead the optional ``target`` stopping rule is evaluated on
+every observed row, from which :mod:`repro.analysis.dynamics` extracts
+recovery times and steady-state bands.
 
-Both engines produce one result type: every per-round observable is a
-``(T + 1, R)`` array (time-major, replica axis second; scalar runs have
-``R = 1``), where row ``t`` describes the state after ``t`` protocol
-rounds and all events scheduled before them. Event applications are
-logged with per-replica magnitudes and the post-event potential.
+Each observed row goes to a sink that decides whether to keep or fold
+it. The default sink keeps every row: every per-round observable of
+the :class:`ScenarioResult` is a ``(T + 1, R)`` array (time-major,
+replica axis second; scalar runs have ``R = 1``), where row ``t``
+describes the state after ``t`` protocol rounds and all events
+scheduled before them, and every event application is logged with
+per-replica magnitudes and the post-event potential. The streaming
+sink (``recording=StreamingRecording(...)``) keeps every
+``thin_every``-th row and folds rows and events into bounded-memory
+reducers, returning a :class:`StreamingScenarioResult`. The engines
+differ only in the simulator, in ``Event.apply`` vs
+``Event.apply_batch``, in how a row's observables are computed, and in
+the weighted stack's padding compaction.
 
 Engine equivalence mirrors the static measurement pipeline and depends
 on the RNG stream layout (``rng_policy``): under the default
@@ -27,9 +36,10 @@ stream in the scalar order) and uniform runs agree in law; under the
 and kernels draw whole-stack Philox blocks per site per round — runs of
 either task system then agree with the scalar reference in law and are
 same-seed deterministic, but not pathwise comparable (see the README's
-reproducibility matrix). ``engine="auto"`` in :meth:`run_ensemble`
-applies the same routing rules as
-:func:`repro.analysis.convergence.measure_convergence_rounds`.
+reproducibility matrix). :meth:`ScenarioRunner.run_ensemble` plans its
+ensembles with the same planner as
+:func:`repro.analysis.convergence.measure_convergence_rounds`, so both
+validate and route replica ensembles identically.
 """
 
 from __future__ import annotations
@@ -39,8 +49,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.analysis._ensemble import plan_ensemble
 from repro.analysis.streaming import ObservableSummary, RunningMoments
-from repro.backends import resolve_backend
 from repro.core.batch import BatchSimulator
 from repro.core.equilibrium import nash_slack_matrix
 from repro.core.potentials import psi0_potential
@@ -51,17 +61,15 @@ from repro.errors import SimulationError, ValidationError
 from repro.graphs.graph import Graph
 from repro.model.batch import BatchStateBase, BatchUniformState, BatchWeightedState
 from repro.model.state import LoadStateBase, UniformState, WeightedState
+from repro.scenarios.events import BatchEventOutcome, Event, EventOutcome
 from repro.scenarios.schedule import Schedule
 from repro.spectral.eigen import algebraic_connectivity
 from repro.types import FloatArray, IntArray, SeedLike
 from repro.utils.rng import (
-    CounterStreams,
     StreamLayout,
     as_stream_layout,
-    check_rng_policy,
     make_rng,
     make_streams,
-    spawn_rngs,
 )
 from repro.utils.validation import check_integer
 
@@ -178,23 +186,6 @@ class ScenarioResult:
         return [record for record in self.events if record.name == name]
 
 
-class _Recorder:
-    """Preallocated (T + 1, R) observable arrays filled row by row."""
-
-    def __init__(self, horizon: int, num_replicas: int):
-        shape = (horizon + 1, num_replicas)
-        self.psi0 = np.zeros(shape)
-        self.max_load_difference = np.zeros(shape)
-        self.nash_violation = np.zeros(shape)
-        self.total_weight = np.zeros(shape)
-        self.num_tasks = np.zeros(shape, dtype=np.int64)
-        self.target_satisfied = np.zeros(shape, dtype=bool)
-        # Topology trace: one row per round, shared across replicas.
-        self.lambda2 = np.zeros(horizon + 1)
-        self.gap_ratio = np.zeros(horizon + 1)
-        self.connected = np.zeros(horizon + 1, dtype=bool)
-
-
 def _spectral_entry(
     graph: Graph, memo: dict[Graph, tuple[float, float, bool]]
 ) -> tuple[float, float, bool]:
@@ -216,17 +207,18 @@ def _spectral_entry(
     return entry
 
 
-#: Observables the streaming recorder reduces, matching the
-#: :class:`ScenarioResult` array names (``target_satisfied`` is folded
-#: as 0/1 so its mean is the satisfaction fraction).
-_STREAMING_OBSERVABLES = (
-    "psi0",
-    "max_load_difference",
-    "nash_violation",
-    "total_weight",
-    "num_tasks",
-    "target_satisfied",
-)
+#: The per-replica observables of every row, matching the
+#: :class:`ScenarioResult` array names, with their full-mode dtypes. The
+#: streaming recorder folds all of them as float64 (``target_satisfied``
+#: as 0/1, so its mean is the satisfaction fraction).
+_OBSERVABLES = {
+    "psi0": np.float64,
+    "max_load_difference": np.float64,
+    "nash_violation": np.float64,
+    "total_weight": np.float64,
+    "num_tasks": np.int64,
+    "target_satisfied": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -327,29 +319,126 @@ class StreamingScenarioResult:
     event_totals: dict[str, EventTotals]
 
 
+class _Recorder:
+    """Full-mode sink: every row into preallocated ``(T + 1, R)``
+    arrays, every event application into the :class:`EventRecord` log.
+
+    ``psi0`` computes the per-replica potential logged right after each
+    event (a length-``R`` array).
+    """
+
+    def __init__(
+        self,
+        engine: str,
+        horizon: int,
+        num_replicas: int,
+        psi0: Callable[[LoadStateBase | BatchStateBase], FloatArray],
+    ):
+        self._engine = engine
+        self.horizon = horizon
+        self._num_replicas = num_replicas
+        self._psi0 = psi0
+        shape = (horizon + 1, num_replicas)
+        self._rows = {
+            name: np.zeros(shape, dtype=dtype)
+            for name, dtype in _OBSERVABLES.items()
+        }
+        # Topology trace: one row per round, shared across replicas.
+        self._lambda2 = np.zeros(horizon + 1)
+        self._gap_ratio = np.zeros(horizon + 1)
+        self._connected = np.zeros(horizon + 1, dtype=bool)
+        self._events: list[EventRecord] = []
+
+    def due(self, row: int) -> bool:
+        """Every row is kept."""
+        return True
+
+    def record(
+        self,
+        row: int,
+        values: dict[str, np.ndarray],
+        lambda2: float,
+        gap_ratio: float,
+        connected: bool,
+    ) -> None:
+        for name, rows in self._rows.items():
+            rows[row] = values[name]
+        self._lambda2[row] = lambda2
+        self._gap_ratio[row] = gap_ratio
+        self._connected[row] = connected
+
+    def log_event(
+        self,
+        round_index: int,
+        event: Event,
+        outcome: BatchEventOutcome | None,
+        state: LoadStateBase | BatchStateBase,
+    ) -> None:
+        """Log one application; ``outcome`` is ``None`` for topology
+        events, which move no tasks and no weight (the network changed
+        under an unchanged placement), so they log zero magnitudes."""
+        if outcome is None:
+            outcome = BatchEventOutcome.zeros(self._num_replicas)
+        self._events.append(
+            EventRecord(
+                round_index=round_index,
+                name=event.name,
+                description=event.describe(),
+                tasks_added=outcome.tasks_added,
+                tasks_removed=outcome.tasks_removed,
+                weight_added=outcome.weight_added,
+                weight_removed=outcome.weight_removed,
+                tasks_relocated=outcome.tasks_relocated,
+                psi0_after=self._psi0(state),
+            )
+        )
+
+    def result(self, final_state: LoadStateBase | BatchStateBase) -> ScenarioResult:
+        return ScenarioResult(
+            final_state=final_state,
+            engine=self._engine,
+            rounds_executed=self.horizon,
+            events=self._events,
+            lambda2=self._lambda2,
+            gap_ratio=self._gap_ratio,
+            connected=self._connected,
+            **self._rows,
+        )
+
+
 class _StreamingRecorder:
     """Chunked row recorder folding into running per-replica reducers.
 
     One ``(chunk_rounds, R)`` buffer per observable is allocated once
     and reused: when full it folds into that observable's
     :class:`RunningMoments` and resets, so the number of resident
-    chunks never exceeds ``len(_STREAMING_OBSERVABLES)`` no matter the
-    horizon. Replica-mean series and the (shared) topology trace are
-    ``O(rows_recorded)`` scalars.
+    chunks never exceeds ``len(_OBSERVABLES)`` no matter the horizon.
+    Replica-mean series and the (shared) topology trace are
+    ``O(rows_recorded)`` scalars. Event applications fold into
+    per-name :class:`EventTotals` instead of the chronological log,
+    which would grow ``O(num_events * R)``.
     """
 
-    def __init__(self, num_replicas: int, options: StreamingRecording):
+    def __init__(
+        self,
+        engine: str,
+        horizon: int,
+        num_replicas: int,
+        options: StreamingRecording,
+    ):
+        self._engine = engine
+        self.horizon = horizon
         self._options = options
         self._buffers = {
             name: np.zeros((options.chunk_rounds, num_replicas))
-            for name in _STREAMING_OBSERVABLES
+            for name in _OBSERVABLES
         }
         self._moments = {
             name: RunningMoments(num_replicas)
-            for name in _STREAMING_OBSERVABLES
+            for name in _OBSERVABLES
         }
         self._series: dict[str, list[float]] = {
-            name: [] for name in _STREAMING_OBSERVABLES
+            name: [] for name in _OBSERVABLES
         }
         self._fill = 0
         self._rounds: list[int] = []
@@ -359,21 +448,25 @@ class _StreamingRecorder:
         self._event_totals: dict[str, list] = {}
         self._num_replicas = num_replicas
         self.chunks_flushed = 0
-        self.peak_resident_chunks = len(_STREAMING_OBSERVABLES)
+        self.peak_resident_chunks = len(_OBSERVABLES)
 
-    def due(self, row: int, horizon: int) -> bool:
+    def due(self, row: int) -> bool:
         """Whether row ``row`` is recorded (thinning keeps 0 and T)."""
-        return row % self._options.thin_every == 0 or row == horizon
+        return row % self._options.thin_every == 0 or row == self.horizon
 
-    def fold_event(self, name: str, outcome) -> None:
+    def log_event(
+        self,
+        round_index: int,
+        event: Event,
+        outcome: BatchEventOutcome | None,
+        state: LoadStateBase | BatchStateBase,
+    ) -> None:
         """Accumulate one event application into its name's totals.
 
-        ``outcome`` is a :class:`~repro.scenarios.events.BatchEventOutcome`
-        (arrays over the replica axis), an
-        :class:`~repro.scenarios.events.EventOutcome` (scalar run — its
-        scalars broadcast to the single replica), or ``None`` (topology
-        events: the application counts, the magnitudes are zero).
+        ``outcome`` is ``None`` for topology events: the application
+        counts, the magnitudes are zero.
         """
+        name = event.name
         totals = self._event_totals.get(name)
         if totals is None:
             totals = [
@@ -397,14 +490,15 @@ class _StreamingRecorder:
     def record(
         self,
         row: int,
-        values: dict[str, FloatArray],
+        values: dict[str, np.ndarray],
         lambda2: float,
         gap_ratio: float,
         connected: bool,
     ) -> None:
-        for name in _STREAMING_OBSERVABLES:
-            self._buffers[name][self._fill] = values[name]
-            self._series[name].append(float(values[name].mean()))
+        for name in _OBSERVABLES:
+            folded = np.asarray(values[name], dtype=np.float64)
+            self._buffers[name][self._fill] = folded
+            self._series[name].append(float(folded.mean()))
         self._fill += 1
         self._rounds.append(row)
         self._lambda2.append(lambda2)
@@ -416,24 +510,20 @@ class _StreamingRecorder:
     def _flush(self) -> None:
         if self._fill == 0:
             return
-        for name in _STREAMING_OBSERVABLES:
+        for name in _OBSERVABLES:
             self._moments[name].update(self._buffers[name][: self._fill])
         self.chunks_flushed += 1
         self._fill = 0
 
     def result(
-        self,
-        final_state: LoadStateBase | BatchStateBase,
-        engine: str,
-        rounds_executed: int,
-        num_replicas: int,
+        self, final_state: LoadStateBase | BatchStateBase
     ) -> StreamingScenarioResult:
         self._flush()
         return StreamingScenarioResult(
             final_state=final_state,
-            engine=engine,
-            rounds_executed=rounds_executed,
-            num_replicas=num_replicas,
+            engine=self._engine,
+            rounds_executed=self.horizon,
+            num_replicas=self._num_replicas,
             thin_every=self._options.thin_every,
             chunk_rounds=self._options.chunk_rounds,
             rows_recorded=len(self._rounds),
@@ -442,11 +532,11 @@ class _StreamingRecorder:
             recorded_rounds=np.asarray(self._rounds, dtype=np.int64),
             observables={
                 name: self._moments[name].summary()
-                for name in _STREAMING_OBSERVABLES
+                for name in _OBSERVABLES
             },
             series={
                 name: np.asarray(self._series[name])
-                for name in _STREAMING_OBSERVABLES
+                for name in _OBSERVABLES
             },
             lambda2=np.asarray(self._lambda2),
             gap_ratio=np.asarray(self._gap_ratio),
@@ -515,7 +605,7 @@ class ScenarioRunner:
         return self._schedule
 
     # ------------------------------------------------------------------
-    # Scalar engine
+    # The two engines
     # ------------------------------------------------------------------
     def run(
         self,
@@ -529,158 +619,21 @@ class ScenarioRunner:
         ``rng`` drives *both* the events and the protocol rounds — it is
         the replica's single trajectory stream, exactly as in the
         batched path. Passing ``recording`` switches to the streaming
-        recorder (identical row semantics — rows are observed between
-        rounds, where full-mode records them — thinned and folded into
-        bounded-memory reducers) and returns a
-        :class:`StreamingScenarioResult`.
+        recorder (the same rows, thinned and folded into bounded-memory
+        reducers) and returns a :class:`StreamingScenarioResult`.
         """
         rounds = check_integer(rounds, "rounds", minimum=0)
         generator = make_rng(rng)
-        recorder = _Recorder(rounds, 1) if recording is None else None
-        events: list[EventRecord] = []
-        # The graph currently in force (topology events swap it); a
-        # one-slot holder so the closures below track the swaps.
-        current_graph: list[Graph] = [self._graph]
-        spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
-        simulator = Simulator(self._graph, self._protocol, generator)
-
-        def record(round_index: int, current: LoadStateBase) -> None:
-            graph = current_graph[0]
-            recorder.psi0[round_index, 0] = psi0_potential(current)
-            recorder.max_load_difference[round_index, 0] = (
-                current.max_load_difference
-            )
-            recorder.nash_violation[round_index, 0] = nash_violation_fraction(
-                current.loads[None, :], current.speeds, graph, self._tolerance
-            )[0]
-            recorder.total_weight[round_index, 0] = _exact_total(current)
-            recorder.num_tasks[round_index, 0] = current.num_tasks
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            recorder.lambda2[round_index] = lambda2
-            recorder.gap_ratio[round_index] = gap_ratio
-            recorder.connected[round_index] = connected
-            if self._target is not None:
-                recorder.target_satisfied[round_index, 0] = self._target.satisfied(
-                    current, graph
-                )
-
-        # Streaming runs fold event magnitudes into per-name totals
-        # instead of the chronological EventRecord log: a long trace's
-        # log would grow O(num_events), breaking the flat-memory
-        # guarantee the streaming recorder exists for.
-        stream = None if recording is None else _StreamingRecorder(1, recording)
-
-        def apply_events(round_index: int, current: LoadStateBase) -> None:
-            for event in self._schedule.events_due(round_index):
-                if event.mutates_topology:
-                    new_graph = event.transform_graph(
-                        current_graph[0], self._graph, round_index
-                    )
-                    current_graph[0] = new_graph
-                    simulator.swap_graph(new_graph)
-                    if stream is not None:
-                        stream.fold_event(event.name, None)
-                    else:
-                        events.append(
-                            _topology_event_record(
-                                round_index,
-                                event,
-                                np.array([psi0_potential(current)]),
-                            )
-                        )
-                    continue
-                outcome = event.apply(current, current_graph[0], generator)
-                if stream is not None:
-                    stream.fold_event(event.name, outcome)
-                    continue
-                events.append(
-                    EventRecord(
-                        round_index=round_index,
-                        name=event.name,
-                        description=event.describe(),
-                        tasks_added=np.array([outcome.tasks_added], dtype=np.int64),
-                        tasks_removed=np.array(
-                            [outcome.tasks_removed], dtype=np.int64
-                        ),
-                        weight_added=np.array([outcome.weight_added]),
-                        weight_removed=np.array([outcome.weight_removed]),
-                        tasks_relocated=np.array(
-                            [outcome.tasks_relocated], dtype=np.int64
-                        ),
-                        psi0_after=np.array([psi0_potential(current)]),
-                    )
-                )
-
-        if recording is None:
-
-            def before_round(round_index: int, current: LoadStateBase) -> None:
-                record(round_index, current)
-                apply_events(round_index, current)
-
-            simulator.run(
-                state, stopping=None, max_rounds=rounds, before_round=before_round
-            )
-            record(rounds, state)
-            return ScenarioResult(
-                final_state=state,
-                engine="scalar",
-                rounds_executed=rounds,
-                psi0=recorder.psi0,
-                max_load_difference=recorder.max_load_difference,
-                nash_violation=recorder.nash_violation,
-                total_weight=recorder.total_weight,
-                num_tasks=recorder.num_tasks,
-                target_satisfied=recorder.target_satisfied,
-                events=events,
-                lambda2=recorder.lambda2,
-                gap_ratio=recorder.gap_ratio,
-                connected=recorder.connected,
-            )
-
-        def record_stream(row: int, current: LoadStateBase) -> None:
-            graph = current_graph[0]
-            values = {
-                "psi0": np.array([psi0_potential(current)]),
-                "max_load_difference": np.array(
-                    [current.max_load_difference]
-                ),
-                "nash_violation": nash_violation_fraction(
-                    current.loads[None, :],
-                    current.speeds,
-                    graph,
-                    self._tolerance,
-                ),
-                "total_weight": np.array([_exact_total(current)]),
-                "num_tasks": np.array([float(current.num_tasks)]),
-                "target_satisfied": np.array(
-                    [
-                        float(self._target.satisfied(current, graph))
-                        if self._target is not None
-                        else 0.0
-                    ]
-                ),
-            }
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            stream.record(row, values, lambda2, gap_ratio, connected)
-
-        def after_round(round_index: int, current: LoadStateBase) -> None:
-            row = round_index + 1
-            if stream.due(row, rounds):
-                record_stream(row, current)
-
-        record_stream(0, state)
-        simulator.run(
+        return self._drive(
+            Simulator(self._graph, self._protocol, generator),
             state,
-            stopping=None,
-            max_rounds=rounds,
-            before_round=apply_events,
-            after_round=after_round,
+            _sink(recording, "scalar", rounds, 1, _psi0_scalar),
+            _observe_scalar,
+            lambda event, current, graph: _replica_outcome(
+                event.apply(current, graph, generator)
+            ),
         )
-        return stream.result(state, "scalar", rounds, 1)
 
-    # ------------------------------------------------------------------
-    # Batched engine
-    # ------------------------------------------------------------------
     def run_batch(
         self,
         batch: BatchStateBase,
@@ -705,185 +658,100 @@ class ScenarioRunner:
         semantics: name or instance, warn-and-fallback to numpy). The
         numpy default is bit-identical to the pre-backend runner.
 
-        Passing ``recording`` switches to the streaming recorder: rows
-        are observed via the batch simulator's ``after_round`` hook (the
-        stack is untouched between a round's kernel and the next round's
-        events, so a streamed row equals the full-mode row exactly),
-        thinned, and folded into bounded-memory per-replica reducers.
-        Returns a :class:`StreamingScenarioResult` in that mode.
+        Passing ``recording`` switches to the streaming recorder (the
+        same rows, thinned and folded into bounded-memory per-replica
+        reducers) and returns a :class:`StreamingScenarioResult`.
         """
         rounds = check_integer(rounds, "rounds", minimum=0)
         num_replicas = batch.num_replicas
-        resolved_backend = resolve_backend(backend)
         if rngs is None:
-            streams = make_streams(
-                check_rng_policy(rng_policy), seed, num_replicas,
-                backend=resolved_backend,
-            )
+            streams = make_streams(rng_policy, seed, num_replicas)
         else:
             streams = as_stream_layout(rngs)
         if len(streams) != num_replicas:
             raise SimulationError(
                 f"need one generator per replica ({num_replicas}), got {len(streams)}"
             )
-        recorder = _Recorder(rounds, num_replicas) if recording is None else None
-        events: list[EventRecord] = []
-        all_rows = np.arange(num_replicas, dtype=np.int64)
-        current_graph: list[Graph] = [self._graph]
+        return self._drive(
+            BatchSimulator(self._graph, self._protocol, seed, backend=backend),
+            batch,
+            _sink(recording, "batch", rounds, num_replicas, _psi0_batch),
+            _observe_batch,
+            lambda event, current, graph: event.apply_batch(
+                current, graph, streams, None
+            ),
+            rngs=streams,
+        )
+
+    def _drive(
+        self,
+        simulator: Simulator | BatchSimulator,
+        state: LoadStateBase | BatchStateBase,
+        sink: "_Recorder | _StreamingRecorder",
+        observe: Callable[..., dict[str, np.ndarray]],
+        apply_event: Callable[..., BatchEventOutcome],
+        **run_kwargs,
+    ) -> ScenarioResult | StreamingScenarioResult:
+        """The scenario loop both engines share.
+
+        Row 0 is observed before the run and row ``t + 1`` in
+        ``after_round(t)``; the events due at round ``t`` apply in
+        ``before_round(t)``. Both simulators leave the state untouched
+        between ``after_round(t)`` and ``before_round(t + 1)``, so row
+        ``t + 1`` is the state the next round's events see, and events
+        scheduled at the horizon never apply. ``observe(state, graph,
+        target, tolerance)`` computes a row's per-replica observables;
+        ``apply_event(event, state, graph)`` applies one workload event
+        and returns its per-replica outcome.
+        """
         spectral_memo: dict[Graph, tuple[float, float, bool]] = {}
-        simulator = BatchSimulator(
-            self._graph, self._protocol, seed, backend=resolved_backend
-        )
 
-        def record(round_index: int, current: BatchStateBase) -> None:
-            graph = current_graph[0]
-            recorder.psi0[round_index] = current.psi0_potentials()
-            recorder.max_load_difference[round_index] = (
-                current.max_load_difference
+        def observe_row(row: int, current) -> None:
+            # The simulator holds the graph in force (topology events
+            # swap it).
+            graph = simulator.graph
+            sink.record(
+                row,
+                observe(current, graph, self._target, self._tolerance),
+                *_spectral_entry(graph, spectral_memo),
             )
-            recorder.nash_violation[round_index] = nash_violation_fraction(
-                current.loads, current.speeds, graph, self._tolerance
-            )
-            recorder.total_weight[round_index] = _exact_total_batch(current)
-            recorder.num_tasks[round_index] = current.num_tasks
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            recorder.lambda2[round_index] = lambda2
-            recorder.gap_ratio[round_index] = gap_ratio
-            recorder.connected[round_index] = connected
-            if self._target is not None:
-                recorder.target_satisfied[round_index] = (
-                    self._target.satisfied_batch(current, graph, all_rows)
-                )
 
-        # Streaming runs fold event magnitudes into per-name totals —
-        # the chronological EventRecord log holds O(num_events * R)
-        # magnitude arrays, which is exactly the growth the streaming
-        # recorder exists to avoid.
-        stream = (
-            None
-            if recording is None
-            else _StreamingRecorder(num_replicas, recording)
-        )
-
-        def apply_events(round_index: int, current: BatchStateBase) -> None:
+        def before_round(round_index: int, current) -> None:
             for event in self._schedule.events_due(round_index):
                 if event.mutates_topology:
                     # Topology events consume no stream randomness and
                     # swap one graph shared by the whole stack, so they
                     # are replica-stable under both stream layouts (and
-                    # invariant across spawned replica-shard windows).
-                    new_graph = event.transform_graph(
-                        current_graph[0], self._graph, round_index
-                    )
-                    current_graph[0] = new_graph
-                    simulator.swap_graph(new_graph)
-                    if stream is not None:
-                        stream.fold_event(event.name, None)
-                    else:
-                        events.append(
-                            _topology_event_record(
-                                round_index, event, current.psi0_potentials()
-                            )
+                    # invariant across replica-shard windows).
+                    simulator.swap_graph(
+                        event.transform_graph(
+                            simulator.graph, self._graph, round_index
                         )
-                    continue
-                outcome = event.apply_batch(
-                    current, current_graph[0], streams, None
-                )
-                if stream is not None:
-                    stream.fold_event(event.name, outcome)
-                    continue
-                events.append(
-                    EventRecord(
-                        round_index=round_index,
-                        name=event.name,
-                        description=event.describe(),
-                        tasks_added=outcome.tasks_added,
-                        tasks_removed=outcome.tasks_removed,
-                        weight_added=outcome.weight_added,
-                        weight_removed=outcome.weight_removed,
-                        tasks_relocated=outcome.tasks_relocated,
-                        psi0_after=current.psi0_potentials(),
                     )
-                )
+                    sink.log_event(round_index, event, None, current)
+                else:
+                    outcome = apply_event(event, current, simulator.graph)
+                    sink.log_event(round_index, event, outcome, current)
             if isinstance(current, BatchWeightedState):
-                widest = int(current.num_tasks.max(initial=0))
-                if (
-                    current.max_tasks > _COMPACT_MIN_WIDTH
-                    and current.max_tasks > 2 * widest
-                ):
-                    current.compact()
+                _compact_if_sparse(current)
 
-        if recording is None:
+        def after_round(round_index: int, current) -> None:
+            if sink.due(round_index + 1):
+                observe_row(round_index + 1, current)
 
-            def before_round(round_index: int, current: BatchStateBase) -> None:
-                record(round_index, current)
-                apply_events(round_index, current)
-
-            simulator.run(
-                batch,
-                stopping=None,
-                max_rounds=rounds,
-                rngs=streams,
-                before_round=before_round,
-            )
-            record(rounds, batch)
-            return ScenarioResult(
-                final_state=batch,
-                engine="batch",
-                rounds_executed=rounds,
-                psi0=recorder.psi0,
-                max_load_difference=recorder.max_load_difference,
-                nash_violation=recorder.nash_violation,
-                total_weight=recorder.total_weight,
-                num_tasks=recorder.num_tasks,
-                target_satisfied=recorder.target_satisfied,
-                events=events,
-                lambda2=recorder.lambda2,
-                gap_ratio=recorder.gap_ratio,
-                connected=recorder.connected,
-            )
-
-        def record_stream(row: int, current: BatchStateBase) -> None:
-            graph = current_graph[0]
-            if self._target is not None:
-                satisfied = self._target.satisfied_batch(
-                    current, graph, all_rows
-                ).astype(np.float64)
-            else:
-                satisfied = np.zeros(num_replicas)
-            values = {
-                "psi0": current.psi0_potentials(),
-                "max_load_difference": current.max_load_difference,
-                "nash_violation": nash_violation_fraction(
-                    current.loads, current.speeds, graph, self._tolerance
-                ),
-                "total_weight": np.asarray(
-                    _exact_total_batch(current), dtype=np.float64
-                ),
-                "num_tasks": current.num_tasks.astype(np.float64),
-                "target_satisfied": satisfied,
-            }
-            lambda2, gap_ratio, connected = _spectral_entry(graph, spectral_memo)
-            stream.record(row, values, lambda2, gap_ratio, connected)
-
-        def after_round(round_index: int, current: BatchStateBase) -> None:
-            row = round_index + 1
-            if stream.due(row, rounds):
-                record_stream(row, current)
-
-        record_stream(0, batch)
+        observe_row(0, state)
         simulator.run(
-            batch,
+            state,
             stopping=None,
-            max_rounds=rounds,
-            rngs=streams,
-            before_round=apply_events,
+            max_rounds=sink.horizon,
+            before_round=before_round,
             after_round=after_round,
+            **run_kwargs,
         )
-        return stream.result(batch, "batch", rounds, num_replicas)
+        return sink.result(state)
 
     # ------------------------------------------------------------------
-    # Ensemble convenience (mirrors measure_convergence_rounds routing)
+    # Ensemble convenience (planned like measure_convergence_rounds)
     # ------------------------------------------------------------------
     def run_ensemble(
         self,
@@ -942,158 +810,142 @@ class ScenarioRunner:
         (weighted runs always batch when stackable; uniform runs batch
         unless probability clipping would change the law).
         """
-        from repro.analysis.convergence import (
-            _batch_stackable,
-            _batch_state_class,
-            _same_law_as_scalar,
+        plan = plan_ensemble(
+            self._protocol,
+            state_factory,
+            repetitions,
+            seed,
+            engine,
+            rng_policy,
+            replica_offset,
+            replica_count,
         )
-
-        if repetitions < 1:
-            raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-        if engine not in ("auto", "batch", "scalar"):
+        if (
+            plan.windowed
+            and rng_policy == "counter"
+            and not self._schedule.is_deterministic
+        ):
             raise ValidationError(
-                f"engine must be one of ('auto', 'batch', 'scalar'), got {engine!r}"
+                "scenario ensembles with stochastic events cannot "
+                "shard under rng_policy='counter': event draw sites "
+                "consume whole-stack counter blocks (churn-sized, "
+                "data-dependent), so a replica window cannot "
+                "reproduce its monolithic streams; compile the "
+                "workload to deterministic trace events or use "
+                "rng_policy='spawned' for sharded scenario cells"
             )
-        check_rng_policy(rng_policy)
-        if rng_policy == "counter" and engine == "scalar":
-            raise ValidationError(
-                "rng_policy='counter' is a batch-engine stream layout; the "
-                "scalar engine always consumes spawned streams"
-            )
-        if replica_offset < 0:
-            raise ValidationError(
-                f"replica_offset must be non-negative, got {replica_offset}"
-            )
-        count = (
-            repetitions - replica_offset
-            if replica_count is None
-            else replica_count
-        )
-        if count < 1:
-            raise ValidationError(f"replica_count must be >= 1, got {count}")
-        if replica_offset + count > repetitions:
-            raise ValidationError(
-                f"replica window [{replica_offset}, {replica_offset + count})"
-                f" exceeds repetitions={repetitions}"
-            )
-        windowed = replica_offset != 0 or count != repetitions
-        if windowed and rng_policy == "counter":
-            if not self._schedule.is_deterministic:
-                raise ValidationError(
-                    "scenario ensembles with stochastic events cannot "
-                    "shard under rng_policy='counter': event draw sites "
-                    "consume whole-stack counter blocks (churn-sized, "
-                    "data-dependent), so a replica window cannot "
-                    "reproduce its monolithic streams; compile the "
-                    "workload to deterministic trace events or use "
-                    "rng_policy='spawned' for sharded scenario cells"
-                )
-            if not getattr(self._protocol, "counter_shardable", False):
-                raise ValidationError(
-                    f"protocol {self._protocol.name!r} cannot shard under "
-                    "rng_policy='counter': its batched kernel draws "
-                    "whole-stack counter blocks (per-replica word "
-                    "consumption depends on the full ensemble); use a "
-                    "counter-shardable kernel or rng_policy='spawned'"
-                )
-        if recording is not None and windowed:
+        if recording is not None and plan.windowed:
             raise ValidationError(
                 "streaming recording cannot run on a replica window: "
                 "streamed reducer summaries have no byte-exact shard "
                 "merge; run the streaming ensemble monolithically"
             )
-        generators = spawn_rngs(seed, count, offset=replica_offset)
-        states = [state_factory(generator) for generator in generators]
-        stackable = _batch_stackable(self._protocol, states)
-        if (engine == "batch" or rng_policy == "counter") and not stackable:
-            raise ValidationError(
-                "engine='batch' (and rng_policy='counter') requires a "
-                "batch-capable protocol and stackable states; use "
-                "engine='auto' with rng_policy='spawned' to fall back"
-            )
-        use_batch = (
-            engine == "batch"
-            or rng_policy == "counter"
-            or (
-                engine == "auto"
-                and stackable
-                and (
-                    getattr(self._protocol, "batch_matches_clipped_law", False)
-                    or _same_law_as_scalar(self._protocol, states)
-                )
-            )
-        )
-        if recording is not None and not use_batch:
+        if recording is not None and plan.batch is None:
             raise ValidationError(
                 "streaming recording requires the batch engine; this "
                 "protocol/state combination falls back to scalar replica "
                 "runs (use ScenarioRunner.run(recording=...) per replica "
                 "instead)"
             )
-        if use_batch:
-            resolved_backend = resolve_backend(backend)
-            batch = _batch_state_class(self._protocol).from_states(states)
-            if rng_policy == "counter":
-                if windowed:
-                    # A window of the monolithic counter layout: site
-                    # draws are keyed on global replica indices, so the
-                    # window reproduces exactly the monolithic streams
-                    # for its replicas (deterministic events consume
-                    # none, and the kernel is counter-shardable).
-                    window = CounterStreams(
-                        seed,
-                        count,
-                        replica_offset=replica_offset,
-                        total_replicas=repetitions,
-                        backend=resolved_backend,
-                    )
-                    return self.run_batch(
-                        batch, rounds, rngs=window, backend=resolved_backend
-                    )
-                return self.run_batch(
-                    batch,
-                    rounds,
-                    seed=seed,
-                    rng_policy="counter",
-                    recording=recording,
-                    backend=resolved_backend,
-                )
+        if plan.batch is not None:
             return self.run_batch(
-                batch,
+                plan.batch,
                 rounds,
-                rngs=generators,
+                rngs=plan.streams,
                 recording=recording,
-                backend=resolved_backend,
+                backend=backend,
             )
-        replica_results = [
-            self.run(state, rounds, rng=generator)
-            for state, generator in zip(states, generators)
-        ]
-        return merge_replica_results(replica_results)
+        return merge_replica_results(
+            [
+                self.run(state, rounds, rng=generator)
+                for state, generator in zip(plan.states, plan.generators)
+            ]
+        )
 
 
-def _topology_event_record(
-    round_index: int, event, psi0_after: FloatArray
-) -> EventRecord:
-    """Event-log entry for a graph swap: zero workload magnitudes.
+def _sink(
+    recording: StreamingRecording | None,
+    engine: str,
+    horizon: int,
+    num_replicas: int,
+    psi0: Callable[[LoadStateBase | BatchStateBase], FloatArray],
+) -> "_Recorder | _StreamingRecorder":
+    """The full recorder, or the streaming one when ``recording`` is set."""
+    if recording is None:
+        return _Recorder(engine, horizon, num_replicas, psi0)
+    return _StreamingRecorder(engine, horizon, num_replicas, recording)
 
-    Topology events move no tasks and no weight (the network changed
-    under an unchanged task placement), so conservation assertions see
-    zero deltas across the swap.
-    """
-    num_replicas = psi0_after.shape[0]
-    zeros_int = np.zeros(num_replicas, dtype=np.int64)
-    return EventRecord(
-        round_index=round_index,
-        name=event.name,
-        description=event.describe(),
-        tasks_added=zeros_int,
-        tasks_removed=zeros_int,
-        weight_added=np.zeros(num_replicas),
-        weight_removed=np.zeros(num_replicas),
-        tasks_relocated=zeros_int,
-        psi0_after=np.asarray(psi0_after, dtype=np.float64).copy(),
+
+def _psi0_scalar(state: LoadStateBase) -> FloatArray:
+    return np.array([psi0_potential(state)])
+
+
+def _psi0_batch(batch: BatchStateBase) -> FloatArray:
+    return batch.psi0_potentials()
+
+
+def _observe_scalar(
+    state: LoadStateBase,
+    graph: Graph,
+    target: StoppingRule | None,
+    tolerance: float,
+) -> dict[str, np.ndarray]:
+    """One scalar state's row, each observable a length-1 array."""
+    return {
+        "psi0": _psi0_scalar(state),
+        "max_load_difference": np.array([state.max_load_difference]),
+        "nash_violation": nash_violation_fraction(
+            state.loads[None, :], state.speeds, graph, tolerance
+        ),
+        "total_weight": np.array([_exact_total(state)]),
+        "num_tasks": np.array([state.num_tasks]),
+        "target_satisfied": np.array(
+            [target is not None and target.satisfied(state, graph)]
+        ),
+    }
+
+
+def _observe_batch(
+    batch: BatchStateBase,
+    graph: Graph,
+    target: StoppingRule | None,
+    tolerance: float,
+) -> dict[str, np.ndarray]:
+    """One replica stack's row, each observable a length-``R`` array."""
+    if target is None:
+        satisfied = np.zeros(batch.num_replicas, dtype=bool)
+    else:
+        satisfied = target.satisfied_batch(
+            batch, graph, np.arange(batch.num_replicas, dtype=np.int64)
+        )
+    return {
+        "psi0": _psi0_batch(batch),
+        "max_load_difference": batch.max_load_difference,
+        "nash_violation": nash_violation_fraction(
+            batch.loads, batch.speeds, graph, tolerance
+        ),
+        "total_weight": _exact_total_batch(batch),
+        "num_tasks": batch.num_tasks,
+        "target_satisfied": satisfied,
+    }
+
+
+def _replica_outcome(outcome: EventOutcome) -> BatchEventOutcome:
+    """A scalar run's event outcome as length-1 replica arrays."""
+    return BatchEventOutcome(
+        tasks_added=np.array([outcome.tasks_added], dtype=np.int64),
+        tasks_removed=np.array([outcome.tasks_removed], dtype=np.int64),
+        weight_added=np.array([outcome.weight_added]),
+        weight_removed=np.array([outcome.weight_removed]),
+        tasks_relocated=np.array([outcome.tasks_relocated], dtype=np.int64),
     )
+
+
+def _compact_if_sparse(batch: BatchWeightedState) -> None:
+    """Repack the padded weighted stack once padding dominates it."""
+    widest = int(batch.num_tasks.max(initial=0))
+    if batch.max_tasks > _COMPACT_MIN_WIDTH and batch.max_tasks > 2 * widest:
+        batch.compact()
 
 
 def _exact_total(state: LoadStateBase) -> float:

@@ -349,7 +349,6 @@ class CounterStreams(StreamLayout):
         num_replicas: int,
         replica_offset: int = 0,
         total_replicas: int | None = None,
-        backend: object | None = None,
     ):
         super().__init__(num_replicas)
         if seed is None:
@@ -384,12 +383,6 @@ class CounterStreams(StreamLayout):
         self._round: int | None = None
         self._site_sequence = 0
         self._label_cache: dict[str, int] = {}
-        # Optional ArrayBackend whose philox_uniforms hook fills the
-        # site blocks (a device backend generates where its arrays
-        # live). ``None`` uses the reference numpy fill; the numpy
-        # backend's hook is that same fill, so either spelling is
-        # bit-identical.
-        self._backend = backend
 
     @property
     def root_seed(self) -> int:
@@ -522,13 +515,8 @@ class CounterStreams(StreamLayout):
     ) -> np.ndarray:
         """Fill ``count`` consecutive replica rows of a site's stream,
         starting at global row ``first_row`` (absolute word
-        addressing), through the backend hook when one is set."""
+        addressing)."""
         start_word = first_row * width
-        if self._backend is not None:
-            flat = self._backend.philox_uniforms(
-                key, start_word, count * width
-            )
-            return np.asarray(flat, dtype=np.float64).reshape(count, width)
         bit_generator = np.random.Philox(key=key)
         # Philox advances in 4-word counter blocks; position the stream
         # on the run's first word, discarding any sub-block remainder
@@ -546,18 +534,11 @@ def make_streams(
     policy: str,
     seed: SeedLike,
     num_replicas: int,
-    backend: object | None = None,
 ) -> StreamLayout:
-    """Build the stream layout for ``policy`` (see :data:`RNG_POLICIES`).
-
-    ``backend`` (an :class:`repro.backends.ArrayBackend`, optional)
-    routes the counter layout's Philox block fills through the
-    backend's fill hook; the spawned layout's per-replica generators
-    are host-sequential by construction and ignore it.
-    """
+    """Build the stream layout for ``policy`` (see :data:`RNG_POLICIES`)."""
     check_rng_policy(policy)
     if policy == "counter":
-        return CounterStreams(seed, num_replicas, backend=backend)
+        return CounterStreams(seed, num_replicas)
     return SpawnedStreams(seed=seed, num_replicas=num_replicas)
 
 

@@ -11,6 +11,7 @@ from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
 from repro.graphs.generators import cycle_graph
 from repro.model.state import UniformState, WeightedState
+from repro.scenarios import ScenarioRunner
 
 
 def state_factory(rng):
@@ -151,3 +152,71 @@ class TestMeasureConvergenceRounds:
                 repetitions=0,
                 max_rounds=10,
             )
+
+
+def ragged_state_factory(rng):
+    """Per-repetition speed vectors: the states cannot stack."""
+    counts = np.zeros(8, dtype=np.int64)
+    counts[0] = 80
+    return UniformState(counts, rng.uniform(1.0, 2.0, 8))
+
+
+def _measure(factory, **kwargs):
+    return measure_convergence_rounds(
+        graph=cycle_graph(8),
+        protocol=SelfishUniformProtocol(),
+        state_factory=factory,
+        stopping=NashStop(),
+        max_rounds=10,
+        seed=1,
+        **kwargs,
+    )
+
+
+def _scenario_ensemble(factory, **kwargs):
+    runner = ScenarioRunner(cycle_graph(8), SelfishUniformProtocol())
+    return runner.run_ensemble(factory, rounds=5, seed=1, **kwargs)
+
+
+class TestSharedEnsemblePlanner:
+    """Both ensemble entry points refuse the same inputs with the same
+    message: they share one planner."""
+
+    @pytest.mark.parametrize(
+        "factory, kwargs, message",
+        [
+            (state_factory, {"repetitions": 0}, "repetitions must be >= 1"),
+            (
+                state_factory,
+                {"repetitions": 2, "engine": "scalar", "rng_policy": "counter"},
+                "batch-engine stream layout",
+            ),
+            (
+                state_factory,
+                {"repetitions": 4, "replica_offset": -1},
+                "replica_offset must be non-negative",
+            ),
+            (
+                state_factory,
+                {"repetitions": 4, "replica_count": 0},
+                "replica_count must be >= 1",
+            ),
+            (
+                state_factory,
+                {"repetitions": 4, "replica_offset": 2, "replica_count": 3},
+                r"exceeds repetitions=4",
+            ),
+            (
+                ragged_state_factory,
+                {"repetitions": 3, "engine": "batch"},
+                "requires a batch-capable protocol",
+            ),
+        ],
+    )
+    def test_invalid_ensembles_share_one_refusal(self, factory, kwargs, message):
+        errors = []
+        for entry_point in (_measure, _scenario_ensemble):
+            with pytest.raises(ValidationError, match=message) as excinfo:
+                entry_point(factory, **kwargs)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]

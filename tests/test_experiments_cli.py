@@ -285,12 +285,33 @@ class TestWorkloadFlags:
         assert "not found" in capsys.readouterr().err
 
     def test_unknown_workload_exits_two(self, capsys):
-        code = cli.main(
-            ["run", "workloads-traffic", "--workload", "tidal-wave"]
-        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "workloads-traffic", "--workload", "tidal-wave"])
+        assert excinfo.value.code == 2
+        assert "unknown workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workload", "bogus"], "unknown workload"),
+            (["--trace", "TRACE", "--workload", "mmpp"], "--trace cannot"),
+        ],
+    )
+    def test_bad_workload_flags_fail_before_any_experiment(
+        self, flags, message, tmp_path, capsys
+    ):
+        """A bad --workload / --trace combination is a usage error
+        raised before thm11 (which ignores both flags) runs."""
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text("")
+        flags = [str(trace_path) if flag == "TRACE" else flag for flag in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "thm11", "workloads-traffic", *flags])
         captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown workload" in captured.err
+        assert excinfo.value.code == 2
+        assert message in captured.err
+        assert "thm11" not in captured.out
+        assert captured.out == ""
 
     def test_trace_replay_runs_and_passes(self, tmp_path, capsys):
         from repro.workloads import build_workload, save_trace

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.potentials import psi0_potential
 from repro.core.protocols import SelfishUniformProtocol, SelfishWeightedProtocol
 from repro.core.stopping import NashStop, PotentialThresholdStop
 from repro.errors import ValidationError
 from repro.graphs.generators import cycle_graph, torus_graph
+from repro.model.batch import BatchUniformState
 from repro.model.placement import place_weighted_random, random_placement
 from repro.model.state import UniformState, WeightedState
 from repro.model.tasks import two_class_weights
@@ -19,6 +21,7 @@ from repro.scenarios import (
     Schedule,
     ScenarioRunner,
     SpeedChange,
+    StreamingRecording,
     TaskArrival,
     TaskDeparture,
     at,
@@ -398,4 +401,76 @@ class TestCounterScenarioPolicy:
             rounds=60,
             seed=41,
             conservation_atol=1e-9,
+        )
+
+
+class TestZeroRoundHorizon:
+    """``rounds=0`` returns exactly row 0 and applies no event, even one
+    scheduled at round 0 — on both engines, in both recording modes."""
+
+    def _runner(self):
+        return ScenarioRunner(
+            cycle_graph(4),
+            SelfishUniformProtocol(),
+            Schedule([at(0, TaskArrival(5, node=0))]),
+            target=NashStop(),
+        )
+
+    def _initial(self):
+        return UniformState(np.array([8, 0, 0, 0]), np.ones(4))
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_full_recording(self, engine):
+        initial = self._initial()
+        if engine == "scalar":
+            result = self._runner().run(initial.copy(), 0, rng=1)
+        else:
+            batch = BatchUniformState.replicate(initial, 3)
+            result = self._runner().run_batch(batch, 0, seed=1)
+        replicas = 1 if engine == "scalar" else 3
+        assert result.engine == engine
+        assert result.rounds_executed == 0
+        assert result.events == []
+        np.testing.assert_array_equal(result.num_tasks, np.full((1, replicas), 8))
+        np.testing.assert_array_equal(
+            result.psi0, np.full((1, replicas), psi0_potential(initial))
+        )
+        np.testing.assert_array_equal(
+            result.target_satisfied, np.zeros((1, replicas), dtype=bool)
+        )
+        assert result.lambda2.shape == (1,)
+        np.testing.assert_array_equal(
+            np.asarray(result.final_state.counts).reshape(-1, 4),
+            np.tile(initial.counts, (replicas, 1)),
+        )
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_streaming_recording(self, engine):
+        initial = self._initial()
+        recording = StreamingRecording()
+        if engine == "scalar":
+            result = self._runner().run(
+                initial.copy(), 0, rng=1, recording=recording
+            )
+        else:
+            batch = BatchUniformState.replicate(initial, 3)
+            result = self._runner().run_batch(
+                batch, 0, seed=1, recording=recording
+            )
+        replicas = 1 if engine == "scalar" else 3
+        assert result.engine == engine
+        assert result.rounds_executed == 0
+        assert result.rows_recorded == 1
+        np.testing.assert_array_equal(result.recorded_rounds, [0])
+        assert result.event_totals == {}
+        tasks = result.observables["num_tasks"]
+        assert tasks.count == 1
+        np.testing.assert_array_equal(tasks.last, np.full(replicas, 8.0))
+        np.testing.assert_array_equal(
+            result.observables["psi0"].last,
+            np.full(replicas, psi0_potential(initial)),
+        )
+        np.testing.assert_array_equal(
+            np.asarray(result.final_state.counts).reshape(-1, 4),
+            np.tile(initial.counts, (replicas, 1)),
         )
