@@ -115,7 +115,7 @@ def place_weighted_random(num_tasks: int, n: int, seed: SeedLike = None) -> IntA
     num_tasks = check_integer(num_tasks, "num_tasks", minimum=0)
     n = check_integer(n, "n", minimum=1)
     rng = make_rng(seed)
-    return rng.integers(0, n, size=num_tasks).astype(np.int64)
+    return rng.integers(0, n, size=num_tasks, dtype=np.int64)
 
 
 def place_weighted_proportional(

@@ -116,6 +116,25 @@ class TestWeightedPlacements:
         assert locations.min() >= 0
         assert locations.max() < 7
 
+    def test_random_draws_straight_into_the_result(self):
+        """Same draw as the generator's default integers, and no second
+        m-long copy: peak traced memory stays near the result's size."""
+        import tracemalloc
+
+        m = 10_000_000
+        expected = np.random.default_rng(5).integers(0, 40000, size=1000)
+        np.testing.assert_array_equal(
+            place_weighted_random(1000, 40000, seed=5), expected
+        )
+        tracemalloc.start()
+        try:
+            locations = place_weighted_random(m, 40000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert locations.dtype == np.int64
+        assert peak < 1.25 * locations.nbytes
+
     def test_proportional_balances_loads(self, rng):
         weights = rng.uniform(0.1, 1.0, size=300)
         speeds = np.array([1.0, 2.0, 1.0, 3.0])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DisconnectedGraphError, SpectralError
+from repro.graphs.graph import Graph
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -18,7 +19,10 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.model.speeds import linear_speeds
+from repro.spectral import eigen
 from repro.spectral.eigen import (
+    DENSE_CUTOFF,
     algebraic_connectivity,
     fiedler_vector,
     generalized_lambda2,
@@ -26,7 +30,7 @@ from repro.spectral.eigen import (
     laplacian_spectrum,
     spectral_gap_ratio,
 )
-from repro.spectral.laplacian import laplacian_matrix
+from repro.spectral.laplacian import laplacian_matrix, laplacian_sparse
 
 
 class TestLaplacianSpectrum:
@@ -191,3 +195,72 @@ class TestNonStrictDisconnected:
             assert spectral_gap_ratio(graph, strict=False) == (
                 spectral_gap_ratio(graph)
             )
+
+
+def _two_copies(graph: Graph) -> Graph:
+    """Disjoint union of ``graph`` with a relabelled copy of itself."""
+    n = graph.num_vertices
+    u = np.concatenate([graph.edges_u, graph.edges_u + n])
+    v = np.concatenate([graph.edges_v, graph.edges_v + n])
+    return from_edges(2 * n, list(zip(u.tolist(), v.tolist())))
+
+
+class TestSparsePath:
+    """Graphs above ``DENSE_CUTOFF`` go through the shift-invert solve."""
+
+    @pytest.mark.parametrize(
+        "graph,expected",
+        [
+            (torus_graph(60), 2.0 - 2.0 * math.cos(2.0 * math.pi / 60)),
+            (hypercube_graph(11), 2.0),
+            (cycle_graph(2000), 2.0 - 2.0 * math.cos(2.0 * math.pi / 2000)),
+        ],
+        ids=["torus60", "hypercube11", "cycle2000"],
+    )
+    def test_closed_form_lambda2(self, graph, expected):
+        assert graph.num_vertices > DENSE_CUTOFF
+        assert algebraic_connectivity(graph) == pytest.approx(expected, rel=1e-9)
+
+    def test_repeated_solves_are_bit_identical(self):
+        graph = torus_graph(60)
+        values = {algebraic_connectivity(graph) for _ in range(4)}
+        assert len(values) == 1
+
+    def test_generalized_lambda2_within_corollary_116(self):
+        """``lambda_2 / s_max <= mu_2 <= lambda_2 / s_min``."""
+        graph = torus_graph(60)
+        speeds = linear_speeds(graph.num_vertices, 4.0)
+        lambda2 = algebraic_connectivity(graph)
+        mu2 = generalized_lambda2(graph, speeds)
+        slack = 1e-9 * lambda2
+        assert lambda2 / speeds.max() - slack <= mu2 <= lambda2 / speeds.min() + slack
+
+    def test_fiedler_rayleigh_quotient_is_lambda2(self):
+        graph = torus_graph(60)
+        vec = fiedler_vector(graph)
+        quotient = float(vec @ (laplacian_sparse(graph) @ vec) / (vec @ vec))
+        assert quotient == pytest.approx(algebraic_connectivity(graph), rel=1e-9)
+
+    def test_sparse_and_dense_paths_agree(self, monkeypatch):
+        graph = grid_graph(7, 57)
+        speeds = linear_speeds(graph.num_vertices, 3.0)
+        dense = (
+            algebraic_connectivity(graph),
+            generalized_lambda2(graph, speeds),
+            fiedler_vector(graph),
+        )
+        monkeypatch.setattr(eigen, "DENSE_CUTOFF", 100)
+        with pytest.raises(SpectralError):
+            laplacian_spectrum(graph)
+        assert algebraic_connectivity(graph) == pytest.approx(dense[0], rel=1e-9)
+        assert generalized_lambda2(graph, speeds) == pytest.approx(dense[1], rel=1e-9)
+        vec = fiedler_vector(graph)
+        # lambda_2 of the 7 x 57 mesh is simple, so the vectors agree up to sign.
+        assert abs(float(vec @ dense[2])) == pytest.approx(1.0, abs=1e-8)
+
+    def test_disconnected_copies(self):
+        graph = _two_copies(torus_graph(60))
+        assert graph.num_vertices > DENSE_CUTOFF
+        assert algebraic_connectivity(graph, strict=False) == 0.0
+        with pytest.raises(DisconnectedGraphError):
+            algebraic_connectivity(graph, strict=True)
